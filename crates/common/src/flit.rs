@@ -69,10 +69,12 @@ pub struct Flit {
     pub kind: FlitKind,
     /// Index of this flit within its packet (0-based).
     pub seq: u16,
-    /// Flow (source, destination) of the packet; routing key.
+    /// Flow (source, destination) of the packet; the routing key of
+    /// flow-keyed route tables.
     pub flow: FlowId,
     /// Destination endpoint, carried by every flit so receptors can
-    /// verify delivery without keeping per-wormhole state.
+    /// verify delivery without keeping per-wormhole state; the routing
+    /// key of destination-keyed route tables.
     pub dst: EndpointId,
     /// Virtual channel the flit currently travels on. Network
     /// interfaces inject on [`VcId::ZERO`]; each switch rewrites the

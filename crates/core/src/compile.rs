@@ -16,7 +16,7 @@ use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
 use crate::error::CompileError;
 use nocem_common::ids::{EndpointId, LinkId, PortId, VcId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
-use nocem_common::route::RouteHop;
+use nocem_common::route::{RouteHop, RouteKey};
 use nocem_platform::bus::{AddressMap, DeviceClass};
 use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
 use nocem_stats::TrKind;
@@ -273,7 +273,7 @@ pub fn elaborate_routed(
         })
         .collect();
     let predicted_loads = fixed_loads
-        .map(|loads| predict_link_loads(topo, routing.flows(), &loads, SplitModel::PrimaryOnly));
+        .map(|loads| predict_link_loads(topo, &routing.flows(), &loads, SplitModel::PrimaryOnly));
 
     // Seeds derive from the platform seed; adding devices never
     // perturbs earlier streams.
@@ -492,11 +492,11 @@ pub const LOWERED_NONE: u32 = u32::MAX;
 /// huge ones keep the memory-proportional CSR.
 pub const ROUTE_DIRECT_MAX: usize = 1 << 22;
 
-/// [`LoweredPlatform::route_direct`] entry: the flow has no routing
+/// [`LoweredPlatform::route_direct`] entry: the routing key has no
 /// entry at this switch.
 pub const ROUTE_NONE: u8 = 0xFF;
 
-/// [`LoweredPlatform::route_direct`] entry: the flow's route is
+/// [`LoweredPlatform::route_direct`] entry: the key's route is
 /// multi-hop (or its encoding exceeds a byte) — resolve through the
 /// CSR and run the selection policy.
 pub const ROUTE_MULTI: u8 = 0xFE;
@@ -624,9 +624,13 @@ pub enum LoweredInFeed {
 /// * **Ports** — per-port arrays (`out_vc_ptr`, `out_link`, wiring)
 ///   are indexed through `in_port_base`/`out_port_base`.
 /// * **Routes** — all per-switch sparse [`RouteTable`]s flattened into
-///   one CSR: switch `s` owns `route_flows[route_flow_base[s] ..
-///   route_flow_base[s + 1]]` (sorted, binary-searched) and flow entry
-///   `f` owns `route_hops[route_hop_start[f] .. route_hop_start[f+1]]`.
+///   one CSR, keyed like the tables ([`LoweredPlatform::route_key`]:
+///   by flow, or by destination when the routing function depends
+///   only on the destination): switch `s` owns
+///   `route_flows[route_flow_base[s] .. route_flow_base[s + 1]]`
+///   (routing keys, sorted, binary-searched) and entry `f` owns
+///   `route_hops[route_hop_start[f] .. route_hop_start[f+1]]`. Small
+///   key spaces also get the `route_direct` byte map.
 ///
 /// All sizing derives from the *elaboration* (per-switch port counts),
 /// never from a uniform config-wide maximum, so heterogeneous
@@ -662,27 +666,32 @@ pub struct LoweredPlatform {
     pub fifo_arena: Vec<u32>,
     /// Per input slot: packed cursor/wormhole record.
     pub in_state: Vec<InSlotState>,
+    /// What the route arrays are indexed by: the head flit's flow id
+    /// or its destination endpoint id.
+    pub route_key: RouteKey,
     /// Per switch: range `route_flow_base[s]..route_flow_base[s+1]`
     /// of `route_flows` (length `switch_count + 1`).
     pub route_flow_base: Vec<u32>,
-    /// Flow ids with routing entries, sorted within each switch range.
+    /// Routing keys (see `route_key`) with entries, sorted within each
+    /// switch range.
     pub route_flows: Vec<u32>,
     /// CSR offsets into `route_hops` (length `route_flows.len()+1`).
     pub route_hop_start: Vec<u32>,
     /// Admissible output hops, concatenated per flow entry.
     pub route_hops: Vec<RouteHop>,
-    /// Direct-mapped route answers for small platforms: entry
-    /// `s * route_flow_space + flow` holds the flow's single-hop
-    /// answer as an encoded local out-slot `port * num_vcs + vc`
-    /// (every deterministic routing function), so the hot lookup is
-    /// one byte load with no hop-list traversal and no selection.
-    /// [`ROUTE_MULTI`] defers multi-hop flows to the CSR + selection
-    /// policy; [`ROUTE_NONE`] marks flows with no entry at `s`. Empty
-    /// when `switch_count × flow_space` exceeds [`ROUTE_DIRECT_MAX`]
-    /// — then every lookup takes the CSR binary search.
+    /// Direct-mapped route answers for small key spaces: entry
+    /// `s * route_flow_space + key` holds the key's single-hop answer
+    /// as an encoded local out-slot `port * num_vcs + vc` (every
+    /// deterministic routing function), so the hot lookup is one byte
+    /// load with no hop-list traversal and no selection.
+    /// [`ROUTE_MULTI`] defers multi-hop keys to the CSR + selection
+    /// policy; [`ROUTE_NONE`] marks keys with no entry at `s`. Empty
+    /// when `switch_count × key space` exceeds [`ROUTE_DIRECT_MAX`] —
+    /// then every lookup takes the CSR binary search. Destination keys
+    /// bound the key space by the endpoint count, so a mesh32x32 fits.
     pub route_direct: Vec<u8>,
-    /// Row stride of `route_direct` (max flow id + 1; 0 when the
-    /// direct map is disabled).
+    /// Row stride of `route_direct` (max key + 1; 0 when the direct
+    /// map is disabled).
     pub route_flow_space: usize,
     /// Per output slot: packed credit/wormhole/arbiter record.
     pub out_state: Vec<OutSlotState>,
@@ -719,13 +728,14 @@ pub struct LoweredPlatform {
 }
 
 impl LoweredPlatform {
-    /// The admissible hops of `flow` at switch `s` (empty when the
-    /// flow has no entry there) — the CSR equivalent of
+    /// The admissible hops of routing key `key` (see
+    /// [`LoweredPlatform::route_key`]) at switch `s` (empty when the
+    /// key has no entry there) — the CSR equivalent of
     /// [`RoutingTables::lookup`].
-    pub fn route_lookup(&self, s: usize, flow: u32) -> &[RouteHop] {
+    pub fn route_lookup(&self, s: usize, key: u32) -> &[RouteHop] {
         let lo = self.route_flow_base[s] as usize;
         let hi = self.route_flow_base[s + 1] as usize;
-        match self.route_flows[lo..hi].binary_search(&flow) {
+        match self.route_flows[lo..hi].binary_search(&key) {
             Ok(k) => {
                 let f = lo + k;
                 let a = self.route_hop_start[f] as usize;
@@ -807,8 +817,8 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
     let mut route_hop_start = vec![0u32];
     let mut route_hops: Vec<RouteHop> = Vec::new();
     for s in topo.switch_ids() {
-        for (flow, hops) in elab.routing.switch_table(s).entries() {
-            route_flows.push(flow.raw());
+        for (key, hops) in elab.routing.switch_table(s).entries() {
+            route_flows.push(key);
             route_hops.extend_from_slice(hops);
             route_hop_start.push(route_hops.len() as u32);
         }
@@ -930,6 +940,7 @@ pub fn lower(elab: &Elaboration) -> LoweredPlatform {
         outputs,
         in_state: vec![InSlotState::EMPTY; total_in_slots],
         fifo_arena,
+        route_key: elab.routing.key(),
         route_flow_base,
         route_flows,
         route_hop_start,

@@ -54,7 +54,7 @@ use crate::profile::{
 };
 use crate::results::{EmulationResults, ReceptorSummary};
 use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{EndpointId, FlowId, LinkId, PacketId, SwitchId, VcId};
+use nocem_common::ids::{EndpointId, LinkId, PacketId, SwitchId, VcId};
 use nocem_common::rng::Lfsr16;
 use nocem_common::route::RouteHop;
 use nocem_common::time::Cycle;
@@ -670,24 +670,26 @@ impl CompiledEngine {
         h
     }
 
-    /// Looks up `flow`'s route hops at switch `s` and runs the
-    /// selection policy — shared by both decide paths.
+    /// Looks up the route hops of `flit` at switch `s` by the lowered
+    /// routing key and runs the selection policy — shared by both
+    /// decide paths.
     #[inline]
     pub(crate) fn route_and_select(
         low: &mut LoweredPlatform,
         s: usize,
         slot: usize,
-        flow: FlowId,
+        flit: &Flit,
     ) -> u16 {
         let vcs = low.num_vcs;
+        let key = low.route_key.of(flit.flow, flit.dst);
         if low.route_flow_space != 0 {
             // Single-hop routes (every deterministic routing function)
             // are embedded in the direct map: one byte load answers
             // the lookup with nothing to select.
-            let enc = low.route_direct[s * low.route_flow_space + flow.raw() as usize];
+            let enc = low.route_direct[s * low.route_flow_space + key as usize];
             assert!(
                 enc != crate::compile::ROUTE_NONE,
-                "flow {flow} has no routing entry at this switch"
+                "route key {key} has no entry at switch {s}"
             );
             if enc != ROUTE_MULTI {
                 low.in_state[slot].chosen = u16::from(enc);
@@ -698,7 +700,7 @@ impl CompiledEngine {
         let oslots = low.out_slot_base[s + 1] as usize - osb;
         let lo = low.route_flow_base[s] as usize;
         let hi = low.route_flow_base[s + 1] as usize;
-        let entry = match low.route_flows[lo..hi].binary_search(&flow.raw()) {
+        let entry = match low.route_flows[lo..hi].binary_search(&key) {
             Ok(k) => (lo + k) as u32,
             Err(_) => LOWERED_NONE,
         };
@@ -711,7 +713,7 @@ impl CompiledEngine {
         };
         assert!(
             !hops.is_empty(),
-            "flow {flow} has no routing entry at this switch"
+            "route key {key} has no entry at switch {s}"
         );
         let pick = select_hop(
             low.selection,
@@ -763,8 +765,7 @@ impl CompiledEngine {
                     h & HANDLE_HEAD != 0,
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                let flow = self.flit_pool[(h & HANDLE_IDX) as usize].flow;
-                Self::route_and_select(low, s, slot, flow)
+                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             oslot_mask |= 1 << hop;
@@ -895,8 +896,7 @@ impl CompiledEngine {
                     h & HANDLE_HEAD != 0,
                     "unallocated input VC must face a head flit (wormhole ordering)"
                 );
-                let flow = self.flit_pool[(h & HANDLE_IDX) as usize].flow;
-                Self::route_and_select(low, s, slot, flow)
+                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             out_mask |= 1 << hop;
@@ -976,8 +976,7 @@ impl CompiledEngine {
             let hop = if st.chosen != SLOT_NONE {
                 st.chosen
             } else {
-                let flow = self.flit_pool[(h & HANDLE_IDX) as usize].flow;
-                Self::route_and_select(low, s, slot, flow)
+                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
             };
             self.requests[iv] = hop;
         }

@@ -1369,10 +1369,12 @@ impl ShardedCompiledEngine {
             }
         }
         // Cycle-limit cap: executing cycle `limit` is what raises the
-        // limit error, so it is the last cycle worth executing.
+        // limit error, so it is the last cycle worth executing. An
+        // endless limit (`u64::MAX`) at cycle 0 saturates instead of
+        // overflowing.
         let limit = self.config.stop.cycle_limit;
         if start.raw() <= limit {
-            len = len.min(limit - start.raw() + 1);
+            len = len.min((limit - start.raw()).saturating_add(1));
         } else {
             len = 1;
         }

@@ -5,13 +5,22 @@
 //! the arrays with no gaps or overlaps, the FIFO arena is sized from
 //! the elaboration's port counts, and the initial credit/cursor state
 //! matches the freshly instantiated switches.
+//!
+//! Destination-keyed routes get a second round trip: on random meshes
+//! every flow's walk through the XY destination tables (and their
+//! lowering) must match per-flow tables built from independently
+//! computed XY paths, hop for hop, and the deadlock check must agree.
 
 use nocem::compile::{elaborate, lower, InSlotState, ROUTE_MULTI, ROUTE_NONE, SLOT_NONE};
-use nocem::config::PlatformConfig;
-use nocem_common::ids::{PortId, VcId};
+use nocem::config::{PlatformConfig, RoutingSpec};
+use nocem_common::ids::{PortId, SwitchId, VcId};
+use nocem_common::route::{RouteHop, RouteKey};
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_switch::switch::CREDITS_INFINITE;
+use nocem_topology::deadlock::check_routing_deadlock_freedom;
+use nocem_topology::graph::Topology;
+use nocem_topology::routing::{FlowPaths, FlowSpec, RouteAlgorithm, RoutingTables, VcPolicy};
 use proptest::prelude::*;
 
 /// Elaborates `cfg`, lowers it, and asserts the full round-trip.
@@ -95,17 +104,18 @@ fn check_lowering(cfg: &PlatformConfig) {
         }
     }
 
-    // Every routing-table entry survives into the CSR verbatim, and
-    // the CSR holds nothing else.
+    // Every routing-table entry survives into the CSR verbatim, under
+    // the same key, and the CSR holds nothing else.
+    assert_eq!(low.route_key, elab.routing.key(), "lowering keeps the key");
     let mut table_entries = 0usize;
     for s in topo.switch_ids() {
         let table = elab.routing.switch_table(s);
-        for (flow, hops) in table.entries() {
+        for (key, hops) in table.entries() {
             table_entries += 1;
             assert_eq!(
-                low.route_lookup(s.index(), flow.raw()),
+                low.route_lookup(s.index(), key),
                 hops,
-                "route entry of flow {flow} at switch {s}"
+                "route entry of key {key} at switch {s}"
             );
         }
     }
@@ -116,33 +126,139 @@ fn check_lowering(cfg: &PlatformConfig) {
     );
 
     // The direct map agrees with the CSR: single-hop entries embed
-    // the encoded out-slot, multi-hop entries defer, absent flows are
+    // the encoded out-slot, multi-hop entries defer, absent keys are
     // marked absent.
     if low.route_flow_space != 0 {
         for s in 0..n {
-            for flow in 0..low.route_flow_space as u32 {
-                let enc = low.route_direct[s * low.route_flow_space + flow as usize];
-                let hops = low.route_lookup(s, flow);
+            for key in 0..low.route_flow_space as u32 {
+                let enc = low.route_direct[s * low.route_flow_space + key as usize];
+                let hops = low.route_lookup(s, key);
                 match enc {
-                    ROUTE_NONE => assert!(hops.is_empty(), "flow {flow} marked absent at {s}"),
+                    ROUTE_NONE => assert!(hops.is_empty(), "key {key} marked absent at {s}"),
                     ROUTE_MULTI => assert!(
                         hops.len() > 1
                             || hops[0].port.index() * vcs + hops[0].vc.index()
                                 >= usize::from(ROUTE_MULTI),
-                        "deferred flow {flow} at {s} is genuinely multi-hop or wide"
+                        "deferred key {key} at {s} is genuinely multi-hop or wide"
                     ),
                     enc => {
-                        assert_eq!(hops.len(), 1, "embedded flow {flow} at {s} is single-hop");
+                        assert_eq!(hops.len(), 1, "embedded key {key} at {s} is single-hop");
                         assert_eq!(
                             usize::from(enc),
                             hops[0].port.index() * vcs + hops[0].vc.index(),
-                            "embedded answer of flow {flow} at {s}"
+                            "embedded answer of key {key} at {s}"
                         );
                     }
                 }
             }
         }
     }
+}
+
+/// The XY path from `from` to `to`, computed from grid coordinates
+/// alone (independently of the routing module).
+fn xy_path(topo: &Topology, from: SwitchId, to: SwitchId) -> Vec<SwitchId> {
+    let grid = topo.grid().expect("mesh has grid metadata");
+    let (mut x, mut y) = grid.coords(from);
+    let (tx, ty) = grid.coords(to);
+    let mut path = vec![from];
+    while (x, y) != (tx, ty) {
+        if x != tx {
+            x = if x < tx { x + 1 } else { x - 1 };
+        } else {
+            y = if y < ty { y + 1 } else { y - 1 };
+        }
+        path.push(grid.at(x, y));
+    }
+    path
+}
+
+/// Walks `spec` hop by hop through `tables` from its source switch to
+/// its ejection: `(switch, hop taken there)` per step.
+fn walk(topo: &Topology, tables: &RoutingTables, spec: &FlowSpec) -> Vec<(SwitchId, RouteHop)> {
+    let mut at = topo.endpoint(spec.src).switch;
+    let mut steps = Vec::new();
+    loop {
+        let hops = tables.lookup(at, spec);
+        assert_eq!(hops.len(), 1, "XY is deterministic at {at}");
+        steps.push((at, hops[0]));
+        match topo.link(topo.out_link(at, hops[0].port)).to_switch() {
+            Some(next) => at = next,
+            None => return steps,
+        }
+    }
+}
+
+/// Mesh XY under `policy`: the destination-keyed tables, their
+/// lowering and their deadlock check agree with per-flow tables built
+/// from independently computed XY paths.
+fn check_destination_routes(w: u32, h: u32, policy: VcPolicy) {
+    let mut cfg = uniform(TopologySpec::Mesh {
+        width: w,
+        height: h,
+    });
+    assert_eq!(cfg.routing, RoutingSpec::Algorithm(RouteAlgorithm::Xy));
+    cfg.vc_policy = policy;
+    let topo = cfg.topology.clone();
+    let elab = elaborate(&cfg).expect("config elaborates");
+    let low = lower(&elab);
+    let dest = &elab.routing;
+    assert_eq!(
+        dest.key(),
+        RouteKey::Destination,
+        "mesh XY routes by destination"
+    );
+    assert_eq!(dest.flow_count(), cfg.flows.len());
+
+    let paths: Vec<FlowPaths> = cfg
+        .flows
+        .iter()
+        .map(|spec| FlowPaths {
+            spec: *spec,
+            paths: vec![xy_path(
+                &topo,
+                topo.endpoint(spec.src).switch,
+                topo.endpoint(spec.dst).switch,
+            )],
+        })
+        .collect();
+    let per_flow = RoutingTables::from_paths_with(&topo, paths.clone(), policy).unwrap();
+    assert_eq!(per_flow.key(), RouteKey::Flow);
+    assert_eq!(*dest.flows(), *paths, "walked paths are the XY paths");
+
+    let vcs = low.num_vcs;
+    for spec in &cfg.flows {
+        let steps = walk(&topo, dest, spec);
+        assert_eq!(
+            steps,
+            walk(&topo, &per_flow, spec),
+            "flow {} takes the same switches, ports and VCs",
+            spec.flow
+        );
+        let key = dest.key_of(spec);
+        assert_eq!(key, spec.dst.raw());
+        for &(at, hop) in &steps {
+            assert_eq!(low.route_lookup(at.index(), key), &[hop]);
+            if low.route_flow_space != 0 {
+                let enc = low.route_direct[at.index() * low.route_flow_space + key as usize];
+                assert_eq!(usize::from(enc), hop.port.index() * vcs + hop.vc.index());
+            }
+        }
+    }
+
+    // One entry per (switch, destination) at most.
+    let entries: usize = topo
+        .switch_ids()
+        .map(|s| dest.switch_table(s).entry_count())
+        .sum();
+    assert!(entries <= topo.switch_count() * topo.receptors().len());
+    assert_eq!(low.route_flows.len(), entries);
+
+    assert_eq!(
+        check_routing_deadlock_freedom(&topo, dest),
+        check_routing_deadlock_freedom(&topo, &per_flow),
+        "the CDG from destination entries is the per-flow CDG"
+    );
 }
 
 /// A uniform-random scenario on `topo` (the registry picks the
@@ -176,6 +292,15 @@ proptest! {
         check_lowering(&uniform(TopologySpec::Ring { switches }));
     }
 
+    /// Mesh XY destination tables walk, lower and deadlock-check
+    /// exactly like per-flow tables of the same paths, under both VC
+    /// policies.
+    #[test]
+    fn mesh_destination_routes_match_per_flow_routes(w in 1u32..7, h in 1u32..7) {
+        check_destination_routes(w, h, VcPolicy::SingleVc);
+        check_destination_routes(w, h, VcPolicy::Dateline);
+    }
+
     /// Random stars lower exactly: the hub's port count differs from
     /// every leaf's, exercising the heterogeneous prefix sums.
     #[test]
@@ -183,5 +308,34 @@ proptest! {
         let topology = nocem_topology::builders::star(leaves).unwrap();
         let cfg = PlatformConfig::baseline(format!("star{leaves}-lowering"), topology).unwrap();
         check_lowering(&cfg);
+    }
+}
+
+/// Routing functions whose out-VC or alternatives depend on more than
+/// the destination keep per-flow tables.
+#[test]
+fn non_destination_routings_stay_flow_keyed() {
+    // Torus XY with dateline VCs.
+    let torus = uniform(TopologySpec::Torus {
+        width: 4,
+        height: 4,
+    });
+    assert_eq!(torus.vc_policy, VcPolicy::Dateline);
+    let elab = elaborate(&torus).unwrap();
+    assert_eq!(elab.routing.key(), RouteKey::Flow);
+    assert_eq!(lower(&elab).route_key, RouteKey::Flow);
+
+    // Explicit minimal ring paths.
+    let ring = uniform(TopologySpec::Ring { switches: 6 });
+    assert!(matches!(ring.routing, RoutingSpec::Explicit(_)));
+    assert_eq!(elaborate(&ring).unwrap().routing.key(), RouteKey::Flow);
+
+    // Shortest and k-shortest routing on a mesh (all-pairs k-shortest
+    // routing is not deadlock-free, so only the tables are built).
+    let mesh = nocem_topology::builders::mesh(3, 3).unwrap();
+    let flows = FlowSpec::all_pairs(&mesh);
+    for algo in [RouteAlgorithm::Shortest, RouteAlgorithm::KShortest(2)] {
+        let tables = RoutingTables::compute(&mesh, &flows, algo).unwrap();
+        assert_eq!(tables.key(), RouteKey::Flow, "{algo:?}");
     }
 }

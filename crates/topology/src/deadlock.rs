@@ -10,16 +10,19 @@
 //!
 //! [`check_deadlock_freedom`] builds the single-VC CDG from configured
 //! flow paths; [`check_routing_deadlock_freedom`] builds the per-VC
-//! CDG from a [`RoutingTables`] (whose paths carry VC labels, e.g.
-//! from the dateline scheme) — this is the check the platform compiler
-//! runs. Both include injection and ejection links, which can never be
-//! part of a cycle but complete the dependency chains, and report the
-//! first cycle found.
+//! CDG from a [`RoutingTables`] — this is the check the platform
+//! compiler runs. Flow-keyed tables contribute each flow's stored,
+//! VC-labelled paths; destination-keyed tables contribute their
+//! entries directly (entry `(s, d)` depends on entry `(next(s, d), d)`,
+//! plus one injection edge per flow), which yields the same edge set
+//! without walking a path per flow. Both include injection and
+//! ejection links, which can never be part of a cycle but complete the
+//! dependency chains, and report the first cycle found.
 
 use crate::graph::Topology;
-use crate::routing::{FlowPaths, RoutingTables};
+use crate::routing::{FlowPaths, FlowRoutes, RoutingTables};
 use nocem_common::ids::{LinkId, SwitchId, VcId};
-use std::collections::{HashMap, HashSet};
+use nocem_common::route::RouteHop;
 
 /// A cyclic channel dependency that could deadlock the network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,25 +75,19 @@ impl std::error::Error for DeadlockCycle {}
 /// # Ok::<(), nocem_topology::deadlock::DeadlockCycle>(())
 /// ```
 pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<(), DeadlockCycle> {
-    let mut edges: HashMap<LinkId, HashSet<LinkId>> = HashMap::new();
-
+    let mut cdg = Cdg::new(topo, 1);
     for fp in flows {
         for path in &fp.paths {
-            let mut chain: Vec<LinkId> = Vec::with_capacity(path.len() + 1);
-            chain.push(topo.endpoint(fp.spec.src).link);
-            for w in path.windows(2) {
-                chain.push(link_toward(topo, w[0], w[1]));
-            }
-            chain.push(topo.endpoint(fp.spec.dst).link);
-            for w in chain.windows(2) {
-                edges.entry(w[0]).or_default().insert(w[1]);
-            }
+            let hops = path.windows(2).map(|w| link_toward(topo, w[0], w[1]));
+            let chain = std::iter::once(topo.endpoint(fp.spec.src).link)
+                .chain(hops)
+                .chain(std::iter::once(topo.endpoint(fp.spec.dst).link));
+            cdg.chain(chain.map(|l| (l, VcId::ZERO)));
         }
     }
-
-    match find_cycle(&edges) {
-        Some(links) => Err(DeadlockCycle {
-            links,
+    match cdg.find_cycle() {
+        Some(nodes) => Err(DeadlockCycle {
+            links: nodes.into_iter().map(|(l, _)| l).collect(),
             vcs: Vec::new(),
         }),
         None => Ok(()),
@@ -101,6 +98,10 @@ pub fn check_deadlock_freedom(topo: &Topology, flows: &[FlowPaths]) -> Result<()
 /// paths and verifies it is acyclic — the check that validates the
 /// dateline scheme: the same physical ring cycle is broken because its
 /// links are visited on different VCs.
+///
+/// Injection rides VC 0 (the NI's fixed VC) and so does ejection (see
+/// [`RoutingTables`]: the receptor is VC-blind, so packets serialize
+/// into it).
 ///
 /// # Errors
 ///
@@ -115,27 +116,49 @@ pub fn check_routing_deadlock_freedom(
     topo: &Topology,
     tables: &RoutingTables,
 ) -> Result<(), DeadlockCycle> {
-    let mut edges: HashMap<(LinkId, VcId), HashSet<(LinkId, VcId)>> = HashMap::new();
-
-    for fp in tables.flows() {
-        for (pi, path) in fp.paths.iter().enumerate() {
-            let labels = tables.path_vcs(fp.spec.flow, pi);
-            let mut chain: Vec<(LinkId, VcId)> = Vec::with_capacity(path.len() + 1);
-            // Injection happens on VC 0 (the NI's fixed VC).
-            chain.push((topo.endpoint(fp.spec.src).link, VcId::ZERO));
-            for (w, &vc) in path.windows(2).zip(labels) {
-                chain.push((link_toward(topo, w[0], w[1]), vc));
+    let mut cdg = Cdg::new(topo, usize::from(tables.max_vc()) + 1);
+    match &tables.routes {
+        FlowRoutes::Stored { flows, vc_labels } => {
+            for fp in flows {
+                for (path, labels) in fp.paths.iter().zip(&vc_labels[fp.spec.flow.index()]) {
+                    let hops = path
+                        .windows(2)
+                        .zip(labels)
+                        .map(|(w, &vc)| (link_toward(topo, w[0], w[1]), vc));
+                    let chain = std::iter::once((topo.endpoint(fp.spec.src).link, VcId::ZERO))
+                        .chain(hops)
+                        .chain(std::iter::once((
+                            topo.endpoint(fp.spec.dst).link,
+                            VcId::ZERO,
+                        )));
+                    cdg.chain(chain);
+                }
             }
-            // Ejection always rides VC 0 (see RoutingTables): the
-            // receptor is VC-blind, so packets serialize into it.
-            chain.push((topo.endpoint(fp.spec.dst).link, VcId::ZERO));
-            for w in chain.windows(2) {
-                edges.entry(w[0]).or_default().insert(w[1]);
+        }
+        FlowRoutes::Walked { specs, .. } => {
+            let channel = |s: SwitchId, hop: RouteHop| (topo.out_link(s, hop.port), hop.vc);
+            for spec in specs {
+                let src = topo.endpoint(spec.src);
+                for &hop in tables.lookup(src.switch, spec) {
+                    cdg.edge((src.link, VcId::ZERO), channel(src.switch, hop));
+                }
+            }
+            for s in topo.switch_ids() {
+                for (key, hops) in tables.switch_table(s).entries() {
+                    for &hop in hops {
+                        let from = channel(s, hop);
+                        let Some(next) = topo.link(from.0).to_switch() else {
+                            continue;
+                        };
+                        for &after in tables.switch_table(next).lookup(key) {
+                            cdg.edge(from, channel(next, after));
+                        }
+                    }
+                }
             }
         }
     }
-
-    match find_cycle(&edges) {
+    match cdg.find_cycle() {
         Some(nodes) => {
             let (links, vcs) = nodes.into_iter().unzip();
             Err(DeadlockCycle { links, vcs })
@@ -144,62 +167,97 @@ pub fn check_routing_deadlock_freedom(
     }
 }
 
-/// Iterative DFS three-colour cycle detection over an adjacency map,
-/// deterministic (nodes and successors visited in sorted order).
-/// Returns the nodes of the first cycle found.
-fn find_cycle<N: Copy + Ord + std::hash::Hash>(edges: &HashMap<N, HashSet<N>>) -> Option<Vec<N>> {
-    let mut color: HashMap<N, u8> = HashMap::new(); // 0 white 1 grey 2 black
-    let mut nodes: Vec<N> = edges.keys().copied().collect();
-    nodes.sort();
-    for &start in &nodes {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        // Stack of (node, successors, next-successor-index).
-        let mut stack: Vec<(N, Vec<N>, usize)> = Vec::new();
-        let succ = sorted_successors(edges, start);
-        color.insert(start, 1);
-        stack.push((start, succ, 0));
-        while let Some((node, succ, idx)) = stack.last_mut() {
-            if *idx >= succ.len() {
-                color.insert(*node, 2);
-                stack.pop();
-                continue;
-            }
-            let next = succ[*idx];
-            *idx += 1;
-            match color.get(&next).copied().unwrap_or(0) {
-                0 => {
-                    let s = sorted_successors(edges, next);
-                    color.insert(next, 1);
-                    stack.push((next, s, 0));
-                }
-                1 => {
-                    // Found a grey node: reconstruct the cycle from the
-                    // stack.
-                    let pos = stack
-                        .iter()
-                        .position(|(n, _, _)| *n == next)
-                        .expect("grey node is on the stack");
-                    return Some(stack[pos..].iter().map(|(n, _, _)| *n).collect());
-                }
-                _ => {}
-            }
-        }
-    }
-    None
+/// A channel dependency graph over dense node indices
+/// `link * vcs + vc`, so node order is `(link, vc)` order.
+struct Cdg {
+    vcs: usize,
+    /// Per node: its distinct successors.
+    succ: Vec<Vec<u32>>,
 }
 
-fn sorted_successors<N: Copy + Ord + std::hash::Hash>(
-    edges: &HashMap<N, HashSet<N>>,
-    node: N,
-) -> Vec<N> {
-    let mut s: Vec<N> = edges
-        .get(&node)
-        .map(|set| set.iter().copied().collect())
-        .unwrap_or_default();
-    s.sort();
-    s
+impl Cdg {
+    fn new(topo: &Topology, vcs: usize) -> Self {
+        Cdg {
+            vcs,
+            succ: vec![Vec::new(); topo.link_count() * vcs],
+        }
+    }
+
+    fn edge(&mut self, from: (LinkId, VcId), to: (LinkId, VcId)) {
+        let node = |(link, vc): (LinkId, VcId)| link.index() * self.vcs + vc.index();
+        let to = node(to) as u32;
+        let succ = &mut self.succ[node(from)];
+        // Successor lists are bounded by a switch's output channels.
+        if !succ.contains(&to) {
+            succ.push(to);
+        }
+    }
+
+    /// Adds an edge between each consecutive pair of `channels`.
+    fn chain(&mut self, channels: impl Iterator<Item = (LinkId, VcId)>) {
+        let mut prev = None;
+        for c in channels {
+            if let Some(p) = prev {
+                self.edge(p, c);
+            }
+            prev = Some(c);
+        }
+    }
+
+    /// Iterative DFS three-colour cycle detection, deterministic:
+    /// nodes and successors are visited in ascending `(link, vc)`
+    /// order. Returns the nodes of the first cycle found.
+    fn find_cycle(mut self) -> Option<Vec<(LinkId, VcId)>> {
+        for succ in &mut self.succ {
+            succ.sort_unstable();
+        }
+        let mut color = vec![0u8; self.succ.len()]; // 0 white 1 grey 2 black
+                                                    // Stack of (node, next-successor-index).
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for start in 0..self.succ.len() {
+            if color[start] != 0 {
+                continue;
+            }
+            color[start] = 1;
+            stack.push((start as u32, 0));
+            while let Some((node, idx)) = stack.last_mut() {
+                let Some(&next) = self.succ[*node as usize].get(*idx) else {
+                    color[*node as usize] = 2;
+                    stack.pop();
+                    continue;
+                };
+                *idx += 1;
+                match color[next as usize] {
+                    0 => {
+                        color[next as usize] = 1;
+                        stack.push((next, 0));
+                    }
+                    1 => {
+                        // Found a grey node: the cycle is the stack
+                        // from it onward.
+                        let pos = stack
+                            .iter()
+                            .position(|&(n, _)| n == next)
+                            .expect("grey node is on the stack");
+                        return Some(
+                            stack[pos..]
+                                .iter()
+                                .map(|&(n, _)| {
+                                    let n = n as usize;
+                                    (
+                                        LinkId::new((n / self.vcs) as u32),
+                                        VcId::new((n % self.vcs) as u8),
+                                    )
+                                })
+                                .collect(),
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
 }
 
 fn link_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> LinkId {
@@ -212,8 +270,10 @@ fn link_toward(topo: &Topology, from: SwitchId, to: SwitchId) -> LinkId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{paper_setup, ring, torus};
-    use crate::routing::{ring_minimal_path, FlowSpec, RouteAlgorithm, RoutingTables, VcPolicy};
+    use crate::builders::{mesh, paper_setup, ring, torus};
+    use crate::routing::{
+        ring_minimal_path, FlowSpec, RouteAlgorithm, RouteKey, RoutingTables, VcPolicy,
+    };
 
     #[test]
     fn paper_primary_is_deadlock_free() {
@@ -333,9 +393,49 @@ mod tests {
         let t = ring(6).unwrap();
         let flows = FlowSpec::one_to_one(&t).unwrap();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Shortest).unwrap();
-        let a = check_deadlock_freedom(&t, rt.flows());
-        let b = check_deadlock_freedom(&t, rt.flows());
+        let a = check_deadlock_freedom(&t, &rt.flows());
+        let b = check_deadlock_freedom(&t, &rt.flows());
         assert_eq!(a.is_ok(), b.is_ok());
+    }
+
+    /// Per-flow tables over the same paths as `dest`, walked out of it.
+    fn per_flow_twin(t: &Topology, dest: &RoutingTables) -> RoutingTables {
+        RoutingTables::from_paths_with(t, dest.flows().into_owned(), VcPolicy::SingleVc).unwrap()
+    }
+
+    #[test]
+    fn destination_cdg_equals_per_flow_cdg_on_a_cyclic_routing() {
+        // All-clockwise ring routing depends only on the destination,
+        // so it can be keyed by destination — and it deadlocks. Both
+        // constructions must report the same first cycle.
+        for n in [3u32, 4, 6] {
+            let t = ring(n).unwrap();
+            let flows = FlowSpec::all_pairs(&t);
+            let dest = RoutingTables::by_destination(&t, &flows, |at, _| {
+                SwitchId::new((at.raw() + 1) % n)
+            })
+            .unwrap();
+            assert_eq!(dest.key(), RouteKey::Destination);
+            let per_flow = per_flow_twin(&t, &dest);
+            assert_eq!(per_flow.key(), RouteKey::Flow);
+            let err = check_routing_deadlock_freedom(&t, &dest).unwrap_err();
+            assert_eq!(Err(err), check_routing_deadlock_freedom(&t, &per_flow));
+        }
+    }
+
+    #[test]
+    fn destination_cdg_equals_per_flow_cdg_on_mesh_xy() {
+        for (w, h) in [(1u32, 1u32), (2, 3), (4, 4), (5, 2)] {
+            let t = mesh(w, h).unwrap();
+            let flows = FlowSpec::all_pairs(&t);
+            for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
+                let dest =
+                    RoutingTables::compute_with(&t, &flows, RouteAlgorithm::Xy, policy).unwrap();
+                assert_eq!(dest.key(), RouteKey::Destination);
+                check_routing_deadlock_freedom(&t, &dest).unwrap();
+                check_routing_deadlock_freedom(&t, &per_flow_twin(&t, &dest)).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -365,7 +365,13 @@ impl Topology {
     /// Hop distances from every switch to `to`, by reverse BFS over
     /// inter-switch links. `usize::MAX` marks unreachable switches.
     pub fn distances_to(&self, to: SwitchId) -> Vec<usize> {
-        // Build reverse adjacency on the fly (topologies are small).
+        self.distances_to_any([to])
+    }
+
+    /// Hop distances from every switch to the nearest of `targets`, by
+    /// one multi-source reverse BFS over inter-switch links.
+    /// `usize::MAX` marks switches that reach none of them.
+    pub fn distances_to_any(&self, targets: impl IntoIterator<Item = SwitchId>) -> Vec<usize> {
         let n = self.switches.len();
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
         for s in 0..n {
@@ -374,8 +380,13 @@ impl Topology {
             }
         }
         let mut dist = vec![usize::MAX; n];
-        dist[to.index()] = 0;
-        let mut queue = VecDeque::from([to.index()]);
+        let mut queue = VecDeque::new();
+        for to in targets {
+            if dist[to.index()] != 0 {
+                dist[to.index()] = 0;
+                queue.push_back(to.index());
+            }
+        }
         while let Some(u) = queue.pop_front() {
             for &v in &rev[u] {
                 if dist[v] == usize::MAX {
@@ -652,18 +663,17 @@ impl TopologyBuilder {
             out_links,
         };
 
-        // Every generator must reach at least one receptor.
-        for g in topo
+        // Every generator must reach at least one receptor: one reverse
+        // BFS from all receptor switches at once.
+        let dist = topo.distances_to_any(
+            topo.endpoints_of(EndpointKind::Receptor)
+                .map(|r| topo.endpoint(r).switch),
+        );
+        if let Some(g) = topo
             .endpoints_of(EndpointKind::Generator)
-            .collect::<Vec<_>>()
+            .find(|&g| dist[topo.endpoint(g).switch.index()] == usize::MAX)
         {
-            let src_switch = topo.endpoint(g).switch;
-            let reachable = topo.endpoints_of(EndpointKind::Receptor).any(|r| {
-                topo.distances_to(topo.endpoint(r).switch)[src_switch.index()] != usize::MAX
-            });
-            if !reachable {
-                return Err(TopologyError::UnreachableReceptors { generator: g });
-            }
+            return Err(TopologyError::UnreachableReceptors { generator: g });
         }
 
         Ok(topo)
@@ -847,6 +857,43 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         let _ = stranded;
+    }
+
+    #[test]
+    fn one_way_cut_generator_reaches_no_receptor() {
+        // s2 is fed by the s0 <-> s1 island but has no way back: its
+        // generator is cut off from every receptor even though the
+        // switch graph is weakly connected.
+        let mut b = TopologyBuilder::new("one-way");
+        let s0 = b.switch();
+        let s1 = b.switch();
+        let s2 = b.switch();
+        b.connect_bidir(s0, s1);
+        b.connect(s1, s2);
+        b.connect(s2, s2); // an output port, but no way out
+        b.generator(s0);
+        b.receptor(s0);
+        b.receptor(s1);
+        let cut = b.generator(s2);
+        match b.build().unwrap_err() {
+            TopologyError::UnreachableReceptors { generator } => assert_eq!(generator, cut),
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn distances_to_any_takes_the_nearest_target() {
+        let mut b = TopologyBuilder::new("line4");
+        let s: Vec<SwitchId> = (0..4).map(|_| b.switch()).collect();
+        for w in s.windows(2) {
+            b.connect_bidir(w[0], w[1]);
+        }
+        b.generator(s[0]);
+        b.receptor(s[3]);
+        let t = b.build().unwrap();
+        assert_eq!(t.distances_to_any([s[0], s[3]]), vec![0, 1, 1, 0]);
+        assert_eq!(t.distances_to_any([s[3]]), t.distances_to(s[3]));
+        assert_eq!(t.distances_to_any([]), vec![usize::MAX; 4]);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Routing tables: from flows and paths to per-switch output-hop sets.
 //!
-//! The emulated switches route by **flow**: every head flit carries a
-//! [`FlowId`], and each switch holds a small table mapping flows to the
-//! set of admissible [`RouteHop`]s — an output port plus the virtual
-//! channel the packet continues on (one hop for deterministic routing,
-//! two for the paper's "two routing possibilities"). This module
-//! computes those tables from a [`Topology`] and a list of
-//! [`FlowSpec`]s using one of several algorithms, or from explicitly
-//! given paths (which is how the paper's experimental setup pins its
-//! hot links).
+//! Every head flit carries its [`FlowId`] and its destination, and each
+//! switch holds a small table mapping a routing key to the set of
+//! admissible [`RouteHop`]s — an output port plus the virtual channel
+//! the packet continues on (one hop for deterministic routing, two for
+//! the paper's "two routing possibilities"). The key is the flow, or
+//! the destination when the routing function depends on nothing else
+//! (see [`RoutingTables`] and [`RouteKey`]). This module computes those
+//! tables from a [`Topology`] and a list of [`FlowSpec`]s using one of
+//! several algorithms, or from explicitly given paths (which is how the
+//! paper's experimental setup pins its hot links).
 //!
 //! Virtual-channel assignment is a labelling pass over the computed
 //! paths, selected by [`VcPolicy`]: [`VcPolicy::SingleVc`] keeps every
@@ -18,13 +19,16 @@
 //! that lets rings and tori route *minimally* across their wrap links
 //! while the per-VC channel-dependency graph stays acyclic.
 //!
-//! Tables are *path-derived*: the configured paths and their VC labels
-//! are retained inside [`RoutingTables`] so that downstream analyses
-//! (deadlock check, link load prediction) can reason about them.
+//! Flow-keyed tables retain the configured paths and their VC labels
+//! inside [`RoutingTables`]; destination-keyed tables retain only the
+//! flows and recover each path by walking the tables. Either way,
+//! downstream analyses (deadlock check, link load prediction) can
+//! reason about the paths.
 
 use crate::graph::{EndpointKind, GridInfo, Topology};
 use crate::TopologyError;
 use nocem_common::ids::{EndpointId, FlowId, PortId, SwitchId, VcId};
+use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashSet};
 
 /// A (source endpoint, destination endpoint) traffic flow.
@@ -88,7 +92,7 @@ impl FlowSpec {
 /// destination's switch (inclusive).
 pub type Path = Vec<SwitchId>;
 
-pub use nocem_common::route::{RouteHop, RouteTable};
+pub use nocem_common::route::{RouteHop, RouteKey, RouteTable};
 
 /// How virtual channels are assigned along computed paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,20 +137,54 @@ pub enum RouteAlgorithm {
     TorusXy,
 }
 
-/// Per-switch sparse output-hop tables, plus the paths and VC labels
-/// they were derived from.
+/// Per-switch sparse output-hop tables, plus what is needed to recover
+/// every flow's path from them.
+///
+/// The tables are keyed by destination ([`RouteKey::Destination`])
+/// when the routing function depends only on the current switch and
+/// the destination — [`RouteAlgorithm::Xy`], under either [`VcPolicy`]
+/// (XY paths never take a wrap-around hop, so every label is VC 0).
+/// Every other routing keeps per-flow tables ([`RouteKey::Flow`]):
+/// [`RouteAlgorithm::TorusXy`] with [`VcPolicy::Dateline`] picks the
+/// out-VC by whether the packet already crossed the dimension's wrap
+/// link, so two flows toward one destination can leave a switch on
+/// different VCs;
+/// [`RouteAlgorithm::Shortest`], [`RouteAlgorithm::KShortest`] and
+/// explicit paths are per-flow by construction.
 #[derive(Debug, Clone)]
 pub struct RoutingTables {
-    /// `[switch] -> sparse flow table` (a flow has hops only at the
-    /// switches its paths visit; see [`RouteTable`]). Sparseness keeps
+    /// `[switch] -> sparse table` (a key has hops only at the switches
+    /// its paths visit; see [`RouteTable`]). Sparseness keeps
     /// all-to-all patterns on large grids feasible: a dense
     /// `[switch][flow]` layout is `O(switches^3)` for uniform-random
     /// traffic.
     table: Vec<RouteTable>,
-    flows: Vec<FlowPaths>,
-    /// `[flow][path][hop] -> VC` label of each inter-switch hop
-    /// (`path.len() - 1` entries per path).
-    vc_labels: Vec<Vec<Vec<VcId>>>,
+    /// What every table in `table` is keyed by.
+    key: RouteKey,
+    /// The flows and their paths (read by the deadlock check).
+    pub(crate) routes: FlowRoutes,
+}
+
+/// Where the flows' paths live.
+#[derive(Debug, Clone)]
+pub(crate) enum FlowRoutes {
+    /// Flow-keyed tables keep the configured paths and their VC labels
+    /// (`[flow][path][hop] -> VC`, `path.len() - 1` labels per path).
+    Stored {
+        flows: Vec<FlowPaths>,
+        vc_labels: Vec<Vec<Vec<VcId>>>,
+    },
+    /// Destination-keyed tables keep only the flows: a flow's single
+    /// path is the walk from its source switch along its destination's
+    /// entries.
+    Walked {
+        specs: Vec<FlowSpec>,
+        /// `[endpoint] -> switch it attaches to`.
+        endpoint_switch: Vec<SwitchId>,
+        /// `[switch][output port] -> downstream switch` (`None` for
+        /// ejection ports).
+        next_switch: Vec<Vec<Option<SwitchId>>>,
+    },
 }
 
 impl RoutingTables {
@@ -169,6 +207,8 @@ impl RoutingTables {
 
     /// Computes tables for `flows` over `topo` using `algo`, labelling
     /// every path's hops with virtual channels per `policy`.
+    /// [`RouteAlgorithm::Xy`] yields destination-keyed tables, every
+    /// other algorithm flow-keyed ones (see [`RoutingTables`]).
     ///
     /// # Errors
     ///
@@ -181,6 +221,11 @@ impl RoutingTables {
         algo: RouteAlgorithm,
         policy: VcPolicy,
     ) -> Result<Self, TopologyError> {
+        if algo == RouteAlgorithm::Xy {
+            if let Some(grid) = topo.grid() {
+                return Self::by_destination(topo, flows, |at, to| xy_step(grid, at, to));
+            }
+        }
         let mut flow_paths = Vec::with_capacity(flows.len());
         for spec in flows {
             let (from, to) = endpoints_switches(topo, spec)?;
@@ -196,10 +241,8 @@ impl RoutingTables {
                     }
                     prune_to_acyclic(all)
                 }
-                RouteAlgorithm::Xy => {
-                    let grid = topo.grid().ok_or(TopologyError::GridRequired)?;
-                    vec![xy_path(grid, from, to)]
-                }
+                // A grid topology was routed by destination above.
+                RouteAlgorithm::Xy => return Err(TopologyError::GridRequired),
                 RouteAlgorithm::TorusXy => {
                     let grid = topo.grid().ok_or(TopologyError::GridRequired)?;
                     vec![torus_xy_path(topo, grid, from, to)]
@@ -208,6 +251,103 @@ impl RoutingTables {
             flow_paths.push(FlowPaths { spec: *spec, paths });
         }
         Self::from_paths_with(topo, flow_paths, policy)
+    }
+
+    /// Builds destination-keyed tables for a routing function whose
+    /// next hop depends only on the current switch and the destination
+    /// switch: `step(at, to)` is the switch after `at` (called only
+    /// while `at != to`), and every hop rides VC 0.
+    ///
+    /// Flows are grouped by destination (a counting sort). For each
+    /// destination, each flow's path is walked until it reaches a
+    /// switch an earlier flow toward that destination already visited
+    /// — from there on the paths coincide — so every `(switch,
+    /// destination)` entry is computed once, and entries are pushed in
+    /// ascending destination order, which every table appends.
+    pub(crate) fn by_destination(
+        topo: &Topology,
+        flows: &[FlowSpec],
+        step: impl Fn(SwitchId, SwitchId) -> SwitchId,
+    ) -> Result<Self, TopologyError> {
+        for spec in flows {
+            endpoints_switches(topo, spec)?;
+        }
+        let key = RouteKey::Destination;
+        let n = topo.switch_count();
+        let mut table = vec![RouteTable::keyed_by(key); n];
+
+        // Counting sort of the flows by destination endpoint.
+        let mut start = vec![0u32; topo.endpoint_count() + 1];
+        for spec in flows {
+            start[spec.dst.index() + 1] += 1;
+        }
+        for e in 0..topo.endpoint_count() {
+            start[e + 1] += start[e];
+        }
+        let mut fill = start.clone();
+        let mut by_dst = vec![0u32; flows.len()];
+        for (i, spec) in flows.iter().enumerate() {
+            by_dst[fill[spec.dst.index()] as usize] = i as u32;
+            fill[spec.dst.index()] += 1;
+        }
+
+        // One visited set over switches, cleared per destination.
+        let mut visited = vec![false; n];
+        for d in 0..topo.endpoint_count() {
+            let group = &by_dst[start[d] as usize..start[d + 1] as usize];
+            let Some(&first) = group.first() else {
+                continue;
+            };
+            visited.fill(false);
+            let dst = flows[first as usize].dst;
+            let to = topo.endpoint(dst).switch;
+            for &i in group {
+                let spec = &flows[i as usize];
+                let mut at = topo.endpoint(spec.src).switch;
+                while !std::mem::replace(&mut visited[at.index()], true) {
+                    if at == to {
+                        // Ejection on VC 0, as for per-flow tables.
+                        let eject = topo.ejection_port(to, dst).ok_or_else(|| {
+                            TopologyError::InvalidPath {
+                                flow: spec.flow,
+                                reason: format!("{dst} is not attached to {to}"),
+                            }
+                        })?;
+                        table[to.index()].push_hop(dst.raw(), RouteHop::vc0(eject));
+                        break;
+                    }
+                    let next = step(at, to);
+                    let port =
+                        port_toward(topo, at, next).ok_or_else(|| TopologyError::InvalidPath {
+                            flow: spec.flow,
+                            reason: format!("no link {at} -> {next}"),
+                        })?;
+                    table[at.index()].push_hop(dst.raw(), RouteHop::vc0(port));
+                    at = next;
+                }
+            }
+        }
+
+        let endpoint_switch = (0..topo.endpoint_count())
+            .map(|e| topo.endpoint(EndpointId::new(e as u32)).switch)
+            .collect();
+        let next_switch = topo
+            .switch_ids()
+            .map(|s| {
+                (0..topo.switch(s).outputs)
+                    .map(|p| topo.link(topo.out_link(s, PortId::new(p))).to_switch())
+                    .collect()
+            })
+            .collect();
+        Ok(RoutingTables {
+            table,
+            key,
+            routes: FlowRoutes::Walked {
+                specs: flows.to_vec(),
+                endpoint_switch,
+                next_switch,
+            },
+        })
     }
 
     /// Builds single-VC tables from explicitly given paths (every hop
@@ -223,8 +363,8 @@ impl RoutingTables {
         Self::from_paths_with(topo, flows, VcPolicy::SingleVc)
     }
 
-    /// Builds tables from explicitly given paths, labelling hops with
-    /// virtual channels per `policy`.
+    /// Builds flow-keyed tables from explicitly given paths, labelling
+    /// hops with virtual channels per `policy`.
     ///
     /// # Errors
     ///
@@ -260,7 +400,7 @@ impl RoutingTables {
                             reason: format!("no link {} -> {}", w[0], w[1]),
                         }
                     })?;
-                    table[w[0].index()].push_hop(spec.flow, RouteHop { port, vc });
+                    table[w[0].index()].push_hop(spec.flow.raw(), RouteHop { port, vc });
                 }
                 // Ejection at the destination switch, always on VC 0:
                 // receptors are VC-blind, so funnelling every packet
@@ -274,15 +414,26 @@ impl RoutingTables {
                             flow: spec.flow,
                             reason: format!("{} is not attached to {}", spec.dst, to),
                         })?;
-                table[to.index()].push_hop(spec.flow, RouteHop::vc0(eject));
+                table[to.index()].push_hop(spec.flow.raw(), RouteHop::vc0(eject));
                 vc_labels[spec.flow.index()].push(labels);
             }
         }
         Ok(RoutingTables {
             table,
-            flows,
-            vc_labels,
+            key: RouteKey::Flow,
+            routes: FlowRoutes::Stored { flows, vc_labels },
         })
+    }
+
+    /// What the per-switch tables are keyed by.
+    pub fn key(&self) -> RouteKey {
+        self.key
+    }
+
+    /// The routing key `flow` is looked up by: its flow id or its
+    /// destination endpoint id.
+    pub fn key_of(&self, flow: &FlowSpec) -> u32 {
+        self.key.of(flow.flow, flow.dst)
     }
 
     /// The admissible output hops of `flow` at switch `s` (empty if
@@ -292,8 +443,8 @@ impl RoutingTables {
     /// # Panics
     ///
     /// Panics if `s` is out of range.
-    pub fn lookup(&self, s: SwitchId, flow: FlowId) -> &[RouteHop] {
-        self.table[s.index()].lookup(flow)
+    pub fn lookup(&self, s: SwitchId, flow: &FlowSpec) -> &[RouteHop] {
+        self.table[s.index()].lookup(self.key_of(flow))
     }
 
     /// The sparse per-switch table, as consumed by the switch models.
@@ -303,12 +454,27 @@ impl RoutingTables {
 
     /// Number of flows the tables were built for.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        match &self.routes {
+            FlowRoutes::Stored { flows, .. } => flows.len(),
+            FlowRoutes::Walked { specs, .. } => specs.len(),
+        }
     }
 
-    /// The configured flows and their paths.
-    pub fn flows(&self) -> &[FlowPaths] {
-        &self.flows
+    /// The configured flows and their paths: borrowed from flow-keyed
+    /// tables, walked out of destination-keyed ones.
+    pub fn flows(&self) -> Cow<'_, [FlowPaths]> {
+        match &self.routes {
+            FlowRoutes::Stored { flows, .. } => Cow::Borrowed(flows),
+            FlowRoutes::Walked { specs, .. } => Cow::Owned(
+                specs
+                    .iter()
+                    .map(|spec| FlowPaths {
+                        spec: *spec,
+                        paths: vec![self.walk(spec).0],
+                    })
+                    .collect(),
+            ),
+        }
     }
 
     /// The VC labels of path `path_index` of `flow`, one per
@@ -316,9 +482,44 @@ impl RoutingTables {
     ///
     /// # Panics
     ///
-    /// Panics if the flow or path index is out of range.
-    pub fn path_vcs(&self, flow: FlowId, path_index: usize) -> &[VcId] {
-        &self.vc_labels[flow.index()][path_index]
+    /// Panics if the flow or path index is out of range (a
+    /// destination-keyed flow has exactly one path).
+    pub fn path_vcs(&self, flow: &FlowSpec, path_index: usize) -> Cow<'_, [VcId]> {
+        match &self.routes {
+            FlowRoutes::Stored { vc_labels, .. } => {
+                Cow::Borrowed(&vc_labels[flow.flow.index()][path_index])
+            }
+            FlowRoutes::Walked { .. } => {
+                assert_eq!(path_index, 0, "a destination-keyed flow has one path");
+                Cow::Owned(self.walk(flow).1)
+            }
+        }
+    }
+
+    /// Walks `flow` through destination-keyed tables from its source
+    /// switch to its ejection: the switches visited and the VC of each
+    /// inter-switch hop.
+    fn walk(&self, flow: &FlowSpec) -> (Path, Vec<VcId>) {
+        let FlowRoutes::Walked {
+            endpoint_switch,
+            next_switch,
+            ..
+        } = &self.routes
+        else {
+            unreachable!("only destination-keyed tables are walked");
+        };
+        let key = self.key_of(flow);
+        let mut at = endpoint_switch[flow.src.index()];
+        let (mut path, mut vcs) = (vec![at], Vec::new());
+        loop {
+            let hop = self.table[at.index()].lookup(key)[0];
+            let Some(next) = next_switch[at.index()][hop.port.index()] else {
+                return (path, vcs);
+            };
+            path.push(next);
+            vcs.push(hop.vc);
+            at = next;
+        }
     }
 
     /// The highest VC any table entry uses (0 for single-VC tables).
@@ -331,7 +532,7 @@ impl RoutingTables {
             .unwrap_or(0)
     }
 
-    /// The maximum number of alternatives any (switch, flow) entry
+    /// The maximum number of alternatives any (switch, key) entry
     /// holds — 1 for deterministic routing, 2 for the paper's dual
     /// routing.
     pub fn max_alternatives(&self) -> usize {
@@ -559,20 +760,18 @@ fn union_is_acyclic(edges: &HashSet<(SwitchId, SwitchId)>) -> bool {
     removed == nodes.len()
 }
 
-/// Dimension-ordered (X then Y) path on a grid.
-fn xy_path(grid: &GridInfo, from: SwitchId, to: SwitchId) -> Path {
-    let (mut x, mut y) = grid.coords(from);
+/// The next switch of a dimension-ordered (X then Y) route on a
+/// grid from `at` toward `to` (`at != to`). It moves one coordinate
+/// by one, so it never takes a wrap-around hop.
+fn xy_step(grid: &GridInfo, at: SwitchId, to: SwitchId) -> SwitchId {
+    let (x, y) = grid.coords(at);
     let (tx, ty) = grid.coords(to);
-    let mut path = vec![from];
-    while x != tx {
-        x = if x < tx { x + 1 } else { x - 1 };
-        path.push(grid.at(x, y));
+    let toward = |c: u32, t: u32| if c < t { c + 1 } else { c - 1 };
+    if x != tx {
+        grid.at(toward(x, tx), y)
+    } else {
+        grid.at(x, toward(y, ty))
     }
-    while y != ty {
-        y = if y < ty { y + 1 } else { y - 1 };
-        path.push(grid.at(x, y));
-    }
-    path
 }
 
 /// One dimension-ordered torus step: the distance and per-step delta
@@ -747,7 +946,7 @@ mod tests {
         assert_eq!(rt.max_alternatives(), 1);
         // Flow must have an entry at every switch on the path.
         for s in [0u32, 1, 2] {
-            assert_eq!(rt.lookup(SwitchId::new(s), FlowId::new(0)).len(), 1);
+            assert_eq!(rt.lookup(SwitchId::new(s), &flows[0]).len(), 1);
         }
     }
 
@@ -788,6 +987,105 @@ mod tests {
         let flows = FlowSpec::one_to_one(&t).unwrap();
         let rt = RoutingTables::compute(&t, &flows, RouteAlgorithm::Xy).unwrap();
         assert_eq!(rt.max_alternatives(), 1, "XY is deterministic");
+    }
+
+    #[test]
+    fn xy_tables_are_destination_keyed() {
+        let t = builders::mesh(4, 3).unwrap();
+        let flows = FlowSpec::all_pairs(&t);
+        for policy in [VcPolicy::SingleVc, VcPolicy::Dateline] {
+            let rt = RoutingTables::compute_with(&t, &flows, RouteAlgorithm::Xy, policy).unwrap();
+            assert_eq!(rt.key(), RouteKey::Destination);
+            assert_eq!(rt.max_vc(), 0, "XY never crosses a dateline");
+            assert_eq!(rt.flow_count(), flows.len());
+            // Exactly one entry per (switch, destination): every switch
+            // hosts a source toward every receptor.
+            for s in t.switch_ids() {
+                assert_eq!(rt.switch_table(s).entry_count(), t.receptors().len());
+            }
+            // Walked paths are the XY paths, on VC 0.
+            for (fp, spec) in rt.flows().iter().zip(&flows) {
+                assert_eq!(fp.spec, *spec);
+                let grid = t.grid().unwrap();
+                let (from, to) = (t.endpoint(spec.src).switch, t.endpoint(spec.dst).switch);
+                let mut expected = vec![from];
+                while *expected.last().unwrap() != to {
+                    expected.push(xy_step(grid, *expected.last().unwrap(), to));
+                }
+                assert_eq!(fp.paths, vec![expected.clone()]);
+                assert_eq!(*rt.path_vcs(spec, 0), vec![VcId::ZERO; expected.len() - 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn other_algorithms_stay_flow_keyed() {
+        let t = builders::torus(4, 4).unwrap();
+        let flows = FlowSpec::all_pairs(&t);
+        for (algo, policy) in [
+            (RouteAlgorithm::TorusXy, VcPolicy::Dateline),
+            (RouteAlgorithm::Shortest, VcPolicy::SingleVc),
+            (RouteAlgorithm::KShortest(2), VcPolicy::SingleVc),
+        ] {
+            let rt = RoutingTables::compute_with(&t, &flows, algo, policy).unwrap();
+            assert_eq!(rt.key(), RouteKey::Flow, "{algo:?}");
+        }
+    }
+
+    /// Counts the per-flow entries of `rt` whose hops differ from
+    /// another flow's toward the same destination at the same switch.
+    fn destination_conflicts(t: &Topology, rt: &RoutingTables, flows: &[FlowSpec]) -> usize {
+        let mut conflicts = 0;
+        for s in t.switch_ids() {
+            let mut first: std::collections::HashMap<EndpointId, &[RouteHop]> =
+                std::collections::HashMap::new();
+            for spec in flows {
+                let hops = rt.lookup(s, spec);
+                if hops.is_empty() {
+                    continue;
+                }
+                if *first.entry(spec.dst).or_insert(hops) != hops {
+                    conflicts += 1;
+                }
+            }
+        }
+        conflicts
+    }
+
+    #[test]
+    fn dateline_torus_routes_are_not_a_function_of_the_destination() {
+        // Why torus XY + dateline stays flow-keyed: two flows toward
+        // one destination can leave a switch on different VCs.
+        let t = builders::torus(8, 8).unwrap();
+        let flows = FlowSpec::all_pairs(&t);
+        let rt =
+            RoutingTables::compute_with(&t, &flows, RouteAlgorithm::TorusXy, VcPolicy::Dateline)
+                .unwrap();
+        let entries: usize = t
+            .switch_ids()
+            .map(|s| rt.switch_table(s).entry_count())
+            .sum();
+        assert_eq!(entries, 20_480);
+        assert_eq!(destination_conflicts(&t, &rt, &flows), 1_024);
+        // The same paths on one VC are destination-determined.
+        let rt0 =
+            RoutingTables::compute_with(&t, &flows, RouteAlgorithm::TorusXy, VcPolicy::SingleVc)
+                .unwrap();
+        assert_eq!(destination_conflicts(&t, &rt0, &flows), 0);
+    }
+
+    #[test]
+    fn xy_checks_endpoint_kinds() {
+        let t = builders::mesh(2, 2).unwrap();
+        let swapped = FlowSpec {
+            flow: FlowId::new(0),
+            src: t.receptors()[0],
+            dst: t.generators()[1],
+        };
+        assert!(matches!(
+            RoutingTables::compute(&t, &[swapped], RouteAlgorithm::Xy),
+            Err(TopologyError::WrongEndpointKind { .. })
+        ));
     }
 
     #[test]
@@ -945,9 +1243,9 @@ mod tests {
                 .unwrap();
         assert_eq!(rt0.max_vc(), 0);
         // Labels are exposed per path, one per hop.
-        for fp in rt.flows() {
+        for fp in rt.flows().iter() {
             for (pi, path) in fp.paths.iter().enumerate() {
-                assert_eq!(rt.path_vcs(fp.spec.flow, pi).len(), path.len() - 1);
+                assert_eq!(rt.path_vcs(&fp.spec, pi).len(), path.len() - 1);
             }
         }
     }

@@ -20,7 +20,7 @@ fn walk_delivers(topo: &Topology, tables: &RoutingTables, spec: &FlowSpec) {
     while here != goal {
         assert!(!visited[here.raw() as usize], "routing loop at {here}");
         visited[here.raw() as usize] = true;
-        let ports = tables.lookup(here, spec.flow);
+        let ports = tables.lookup(here, spec);
         assert!(
             !ports.is_empty(),
             "flow {} has no route at {here}",
@@ -34,7 +34,7 @@ fn walk_delivers(topo: &Topology, tables: &RoutingTables, spec: &FlowSpec) {
             .expect("primary port of a non-final switch is inter-switch");
     }
     // At the destination switch the flow must have an ejection entry.
-    let ports = tables.lookup(goal, spec.flow);
+    let ports = tables.lookup(goal, spec);
     assert!(!ports.is_empty(), "no ejection entry at {goal}");
     let link = topo.out_link(goal, ports[0].port);
     assert_eq!(
@@ -92,7 +92,7 @@ proptest! {
         let topo = mesh(w, h).unwrap();
         let flows = FlowSpec::all_pairs(&topo);
         let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Xy).unwrap();
-        check_deadlock_freedom(&topo, tables.flows()).unwrap();
+        check_deadlock_freedom(&topo, &tables.flows()).unwrap();
     }
 
     /// Shortest-path one-to-one routing on a ring uses both directions
@@ -103,7 +103,7 @@ proptest! {
         let topo = ring(n).unwrap();
         let flows = FlowSpec::one_to_one(&topo).unwrap();
         let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
-        check_deadlock_freedom(&topo, tables.flows()).unwrap();
+        check_deadlock_freedom(&topo, &tables.flows()).unwrap();
     }
 
     /// Link-load prediction conserves traffic: summed over the
@@ -119,7 +119,7 @@ proptest! {
         let flows = FlowSpec::one_to_one(&topo).unwrap();
         let tables = RoutingTables::compute(&topo, &flows, RouteAlgorithm::Shortest).unwrap();
         let offered: Vec<f64> = flows.iter().map(|f| loads[f.flow.raw() as usize % loads.len()]).collect();
-        let predicted = predict_link_loads(&topo, tables.flows(), &offered, SplitModel::PrimaryOnly);
+        let predicted = predict_link_loads(&topo, &tables.flows(), &offered, SplitModel::PrimaryOnly);
 
         let total: f64 = offered.iter().sum();
         // Injection links carry exactly their generator's offered load.

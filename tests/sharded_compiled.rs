@@ -124,6 +124,16 @@ fn mesh8x8_two_shards_batch8_lockstep() {
     assert_lockstep(&uniform_random(MESH8X8, 0.40, 900), &[(2, 8)]);
 }
 
+/// An endless cycle limit (`u64::MAX`, the setting long steady runs
+/// use) stays in lockstep from cycle 0: the window length saturates
+/// instead of overflowing, which would panic in a debug build.
+#[test]
+fn endless_cycle_limit_is_bit_identical() {
+    let mut cfg = uniform_random(MESH8X8, 0.20, 300);
+    cfg.stop.cycle_limit = u64::MAX;
+    assert_lockstep(&cfg, &[(2, 1), (2, 16)]);
+}
+
 /// One synchronization round per cycle at `batch = 1` (today's
 /// per-cycle exchange protocol), ~`batch`× fewer at `batch = 16` —
 /// the measured amortization the batching exists for. Drain mode is
