@@ -11,11 +11,13 @@
 //!
 //! The default sweep runs uniform_random / transpose / tornado on
 //! mesh4x4, mesh8x8 and torus8x8 — nine curves — and demonstrates the
-//! scale machinery end to end: every point runs **clock-gated**
-//! (PR 3), and the 8×8 topologies run on the **sharded engine** with
-//! two workers (PR 4). Neither changes a single measured value (the
-//! ledger is proven identical across modes and engines); they only
-//! change how fast the sweep finishes. Results land in
+//! scale machinery end to end: every point runs **clock-gated**, and
+//! the 8×8 topologies run on the **compiled engine**. The sweep itself
+//! spreads curves over `available_parallelism` threads, so each
+//! point stays single-threaded (gated sharded points would run at
+//! batch 1). Neither changes a single measured value (the ledger is
+//! proven identical across modes and engines); they only change how
+//! fast the sweep finishes. Results land in
 //! `results/latency_curves.csv`.
 //!
 //! Every point runs with **windowed telemetry** enabled (W = 1024),
@@ -242,10 +244,10 @@ fn main() {
     for scenario in scenarios {
         for topology in topologies {
             // The scale machinery, end to end: everything gated, the
-            // 64-switch topologies sharded across two workers.
+            // 64-switch topologies on the compiled engine.
             let engine = match topology {
                 TopologySpec::Mesh { width: 8, .. } | TopologySpec::Torus { width: 8, .. } => {
-                    EngineKind::Sharded { shards: 2 }
+                    EngineKind::Compiled
                 }
                 _ => EngineKind::SingleThread,
             };

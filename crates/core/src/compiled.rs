@@ -74,8 +74,7 @@ use std::time::Instant;
 ///
 /// Built from an [`Elaboration`] via [`CompiledEngine::new`]; selected
 /// through [`crate::config::EngineKind::Compiled`] everywhere a config
-/// picks an engine ([`crate::shard::build_engine`],
-/// [`crate::sweep::AnyEngine`], sweeps, curves).
+/// picks an engine ([`crate::sweep::AnyEngine`], sweeps, curves).
 pub struct CompiledEngine {
     pub(crate) config: PlatformConfig,
     pub(crate) low: LoweredPlatform,
@@ -1702,15 +1701,4 @@ impl SteppableEngine for CompiledEngine {
     fn stall_report(&self) -> Option<&StallReport> {
         self.watchdog.as_ref().and_then(StallWatchdog::report)
     }
-}
-
-/// Elaborates `config` and builds a compiled engine for it.
-///
-/// # Errors
-///
-/// Propagates [`crate::error::CompileError`] from elaboration.
-pub fn build_compiled(
-    config: &PlatformConfig,
-) -> Result<CompiledEngine, crate::error::CompileError> {
-    Ok(CompiledEngine::new(crate::compile::elaborate(config)?))
 }

@@ -89,8 +89,9 @@ impl Default for SwitchSettings {
 ///
 /// All engine kinds implement the same cycle semantics (the behavioural
 /// contract in `nocem-switch`); the kind only chooses *how* the work is
-/// scheduled. Sweeps and the scenario matrix honour this field through
-/// [`crate::sweep::run_config`].
+/// scheduled. [`crate::sweep::AnyEngine`] is the one place that turns
+/// a kind into an engine; sweeps, curves and the scenario matrix honour
+/// this field through it (or through [`crate::sweep::run_config`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum EngineKind {
@@ -98,17 +99,6 @@ pub enum EngineKind {
     /// ([`crate::engine::Emulation`]).
     #[default]
     SingleThread,
-    /// The sharded engine ([`crate::shard::ShardedEngine`]): switches
-    /// are partitioned into `shards` groups, each stepped by its own
-    /// worker thread, with flits and credits bridged across shard
-    /// boundaries over bounded channels. Cycle-for-cycle identical to
-    /// [`EngineKind::SingleThread`] (proven by the lockstep ledger
-    /// tests); faster on large topologies (32×32 and up).
-    Sharded {
-        /// Worker-thread shard count (`>= 1`; `1` is a single worker,
-        /// useful for measuring the orchestration overhead).
-        shards: usize,
-    },
     /// The compiled data-oriented engine
     /// ([`crate::compiled::CompiledEngine`]): the elaboration is
     /// lowered once into flat struct-of-arrays state (a single FIFO
@@ -119,8 +109,8 @@ pub enum EngineKind {
     /// tests); an order of magnitude faster on busy platforms.
     Compiled,
     /// The sharded *compiled* engine
-    /// ([`crate::shard_compiled::ShardedCompiledEngine`]): the two
-    /// speed mechanisms composed. The platform is lowered once into
+    /// ([`crate::shard_compiled::ShardedCompiledEngine`]), for one
+    /// platform across cores. The platform is lowered once into
     /// the flat struct-of-arrays state of [`EngineKind::Compiled`],
     /// then partitioned along a [`nocem_topology::partition::PartitionMap`]
     /// so each persistent worker thread steps its own slice of the
@@ -131,8 +121,9 @@ pub enum EngineKind {
     /// to `batch` cycles per coordinator round trip, amortizing the
     /// command/report synchronization `batch`× without changing a
     /// single cycle's semantics. Cycle-for-cycle identical to
-    /// [`EngineKind::Compiled`] for every `(shards, batch)` (proven by
-    /// the lockstep ledger tests in `tests/sharded_compiled.rs`).
+    /// [`EngineKind::SingleThread`] and [`EngineKind::Compiled`] for
+    /// every `(shards, batch)` (proven by the lockstep ledger tests in
+    /// `tests/sharded_compiled.rs`).
     ShardedCompiled {
         /// Worker-thread shard count (`>= 1`).
         shards: usize,
@@ -199,8 +190,9 @@ pub struct PlatformConfig {
     /// to the original platform) or hybrid clock-gated (jump over
     /// provably idle windows; cycle-equivalent, faster at low load).
     pub clock_mode: ClockMode,
-    /// Which engine executes the platform (single-threaded or
-    /// sharded across worker threads; cycle-equivalent either way).
+    /// Which engine executes the platform (interpreted, compiled, or
+    /// compiled and sharded across worker threads; cycle-equivalent
+    /// in every case).
     pub engine: EngineKind,
     /// Windowed telemetry collection (`None` = off, the default: no
     /// probe overhead). When set, every engine records per-link
@@ -209,7 +201,7 @@ pub struct PlatformConfig {
     /// Emulator self-profiling (`None` = off, the default: no
     /// timestamp overhead, results unchanged). When set, engines
     /// accumulate per-phase wall time (see [`crate::profile`]), the
-    /// sharded engines record span timelines, and the stall watchdog
+    /// sharded engine records span timelines, and the stall watchdog
     /// runs when [`crate::profile::ProfileConfig::stall`] is set.
     pub profile: Option<crate::profile::ProfileConfig>,
 }

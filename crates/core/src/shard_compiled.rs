@@ -2,16 +2,18 @@
 //! platform, stepped by persistent workers with batched coordinator
 //! synchronization.
 //!
-//! [`ShardedCompiledEngine`] marries the two speed mechanisms the
-//! crate already has: the flat-array cycle kernel of
-//! [`CompiledEngine`] and the partitioned worker threads of
-//! [`crate::shard::ShardedEngine`]. Each worker owns a slice of the
-//! struct-of-arrays state — the switches of one [`PartitionMap`]
-//! shard, the generators and receptors attached to them, and a
-//! *per-shard flit pool* — and steps only that slice with the exact
-//! compiled decide/commit kernels. Cross-shard flits leave the
-//! sender's pool as real [`Flit`]s and are re-interned into the
-//! receiver's pool on arrival.
+//! [`ShardedCompiledEngine`] scales *one* platform across cores: it
+//! partitions the switch graph into `K` shards (a [`Partition`]
+//! implementation from `nocem-topology`; the default is the
+//! grid-stripe partitioner, with index stripes for non-grid
+//! platforms) and steps each shard with the flat-array cycle kernel
+//! of [`CompiledEngine`] on its own persistent worker thread. Each
+//! worker owns a slice of the struct-of-arrays state — the switches
+//! of one [`PartitionMap`] shard, the generators and receptors
+//! attached to them, and a *per-shard flit pool* — and steps only
+//! that slice with the exact compiled decide/commit kernels.
+//! Cross-shard flits leave the sender's pool as real [`Flit`]s and
+//! are re-interned into the receiver's pool on arrival.
 //!
 //! # The batched-exchange protocol
 //!
@@ -41,9 +43,8 @@
 //!   synchronization only once per window — a ~`batch`× reduction,
 //!   measured by [`ShardedCompiledEngine::sync_rounds`].
 //!
-//! `batch = 1` therefore reproduces the per-cycle exchange protocol
-//! of the interpreted sharded engine exactly: one synchronization
-//! round per cycle.
+//! `batch = 1` is the plain per-cycle exchange protocol: one
+//! synchronization round per cycle.
 //!
 //! # Why replay is deterministic
 //!
@@ -79,9 +80,13 @@
 //! cross-shard event horizon before every cycle, which is inherently a
 //! per-cycle coordinator decision. Under [`ClockMode::Gated`] the
 //! batch is therefore clamped to 1 (with a warning): correctness is
-//! never traded for lookahead. The fast-forward itself is replayed
-//! inside each worker's TGs exactly like the interpreted sharded
-//! engine does.
+//! never traded for lookahead. The coordinator may fast-forward only
+//! when *every* shard is quiescent and the ledger carries no in-flight
+//! packet, and only up to the minimum next event over all shards
+//! (clamped to the cycle limit), so no shard skips past another
+//! shard's horizon. The jump is replayed inside each worker's TGs via
+//! `TrafficGenerator::skip_to`, exactly like the single-threaded
+//! fast-forward kernel.
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, SteppableEngine};
 use crate::compile::{
@@ -93,7 +98,6 @@ use crate::config::{EngineKind, PlatformConfig};
 use crate::error::{CompileError, EmulationError};
 use crate::profile::{Phase, PhaseProfiler, PhaseReport};
 use crate::results::{EmulationResults, ReceptorSummary};
-use crate::shard::{panic_fault, ShardStatus};
 use nocem_common::flit::{Flit, PacketDescriptor};
 use nocem_common::ids::{LinkId, PacketId, SwitchId, VcId};
 use nocem_common::time::Cycle;
@@ -109,6 +113,41 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Per-cycle shard status, cached by the coordinator for the stop
+/// condition and the gating decision of the *next* step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardStatus {
+    /// Local half of the platform quiescence predicate: no parked TG
+    /// request, every NI idle with credits home, every switch
+    /// quiescent.
+    pub(crate) quiescent: bool,
+    /// Earliest future event over this shard's TGs, evaluated at the
+    /// cycle the next step will execute (`u64::MAX` = never).
+    pub(crate) next_event: u64,
+    /// All TGs exhausted.
+    pub(crate) exhausted: bool,
+    /// No parked TG request.
+    pub(crate) pending_none: bool,
+    /// Every NI idle.
+    pub(crate) nis_idle: bool,
+}
+
+/// Renders a worker panic as a shard fault the coordinator can return
+/// (the alternative — letting the worker unwind mid-cycle — would
+/// strand its peers mid-exchange and deadlock the whole engine).
+pub(crate) fn panic_fault(shard: usize, payload: &(dyn std::any::Any + Send)) -> EmulationError {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .map(str::to_owned)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into());
+    EmulationError::Shard {
+        shard,
+        reason: format!("worker panicked: {msg}"),
+    }
+}
 
 /// Provisional packet ids carry this flag plus the shard in bits
 /// 48..63 and a shard-local sequence below — far above any id the
@@ -910,7 +949,7 @@ struct WorkerHandle {
 /// [`ShardedCompiledEngine::results`].
 ///
 /// Results are bit-identical to [`CompiledEngine`] (and hence the
-/// interpreted engines) on the same configuration: same packet ids,
+/// interpreted [`crate::engine::Emulation`]) on the same configuration: same packet ids,
 /// same per-packet release / injection / delivery cycles, same
 /// ledger, same statistics, same telemetry — for every `batch`.
 pub struct ShardedCompiledEngine {
@@ -1287,8 +1326,7 @@ impl ShardedCompiledEngine {
     /// profiling timestamp (`None` when profiling is off).
     fn start_window(&mut self, t: &mut Option<Instant>) -> Result<(), EmulationError> {
         // Cross-shard clock gating (batch is clamped to 1 in gated
-        // mode, so this is a per-cycle decision exactly like the
-        // interpreted sharded engine's).
+        // mode, so this is a per-cycle decision).
         let mut skip_from = None;
         if self.config.clock_mode == ClockMode::Gated && self.is_quiescent() {
             let horizon = self
@@ -1571,7 +1609,7 @@ impl ShardedCompiledEngine {
     /// Collects full run results by snapshotting every shard's counter
     /// slice — value-equal to [`CompiledEngine::results`] for the same
     /// run, except that trace-receptor latency views are kept on the
-    /// coordinator (as in the interpreted sharded engine).
+    /// coordinator.
     ///
     /// # Errors
     ///

@@ -21,11 +21,12 @@
 //!   `nocem`'s sweep scheduler, one CSV row per (scenario, topology,
 //!   load point) plus a per-curve saturation summary.
 //!
-//! Curves honour [`nocem::ClockMode::Gated`] and
-//! [`nocem::config::EngineKind::Sharded`]: the measured statistics are
-//! selected by absolute cycle from a ledger that is proven identical
-//! across clock modes and engines, so a gated sharded sweep produces
-//! the same curve as an ungated single-threaded one — only faster.
+//! Curves honour [`nocem::ClockMode::Gated`] and every
+//! [`nocem::config::EngineKind`]: the measured statistics are selected
+//! by absolute cycle from a ledger that is proven identical across
+//! clock modes and engines, so a gated compiled or sharded sweep
+//! produces the same curve as an ungated interpreted one — only
+//! faster.
 //! Routing tables are elaborated once per curve and reused across
 //! every load point and bisection step.
 //!

@@ -232,7 +232,7 @@ impl CurveSpec {
     /// single-threaded).
     pub fn shards(&self) -> usize {
         match self.engine {
-            EngineKind::Sharded { shards } | EngineKind::ShardedCompiled { shards, .. } => shards,
+            EngineKind::ShardedCompiled { shards, .. } => shards,
             _ => 1,
         }
     }

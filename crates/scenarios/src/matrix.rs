@@ -12,7 +12,7 @@
 //! Every point's platform seed derives from its scenario label
 //! ([`crate::scenario_seed`]), so a matrix run is deterministic
 //! regardless of worker count or scheduling — and the `shards` axis
-//! never perturbs results, because the sharded engine is
+//! never perturbs results, because the sharded compiled engine is
 //! ledger-identical to the single-threaded one (only the recorded
 //! wall-clock time changes).
 
@@ -27,6 +27,12 @@ use nocem::results::EmulationResults;
 use nocem::sweep::{compile_fault, run_config_routed, run_sweep_indexed, SweepPoint};
 use nocem_common::csv::CsvWriter;
 
+/// Cycles per coordinator round of a sharded point
+/// (`EngineKind::ShardedCompiled::batch`) when the clock is not gated.
+/// Gated points use 1: gating is a per-cycle cross-shard decision, so
+/// the engine would clamp any larger batch to 1 anyway.
+const SHARD_BATCH: u64 = 16;
+
 /// A `scenarios × topologies × loads × shards` experiment matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixSpec {
@@ -37,8 +43,8 @@ pub struct MatrixSpec {
     /// Offered loads (per-TG fraction of link bandwidth).
     pub loads: Vec<f64>,
     /// Engine shard counts to run each point on. `1` is the
-    /// single-threaded engine; `k > 1` runs the sharded engine with
-    /// `k` worker threads (same results, different wall clock — the
+    /// single-threaded engine; `k > 1` runs the sharded compiled
+    /// engine with `k` worker threads (same results, different wall clock — the
     /// scaling axis for 16×16/32×32 topologies). Most matrices use
     /// `vec![1]`.
     pub shards: Vec<usize>,
@@ -205,7 +211,12 @@ impl MatrixSpec {
                             Ok(mut config) => {
                                 config.clock_mode = self.clock_mode;
                                 if shards != 1 {
-                                    config.engine = EngineKind::Sharded { shards };
+                                    let batch = if self.clock_mode == ClockMode::Gated {
+                                        1
+                                    } else {
+                                        SHARD_BATCH
+                                    };
+                                    config.engine = EngineKind::ShardedCompiled { shards, batch };
                                 }
                                 meta.push((name.clone(), topology.name(), load, shards));
                                 points.push(SweepPoint::new(label, config));

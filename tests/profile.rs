@@ -1,7 +1,7 @@
 //! Engine self-profiling acceptance: the phase accumulators must
 //! account for (nearly) all measured wall time, the `profile: None`
 //! default must be behaviour-free, every engine must answer
-//! [`SteppableEngine::profile`], and the sharded engines' span
+//! [`SteppableEngine::profile`], and the sharded engine's span
 //! timelines must merge into valid, monotonically ordered Chrome
 //! traces.
 
@@ -11,7 +11,6 @@ use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
 use nocem::engine::build;
 use nocem::profile::{Phase, ProfileConfig};
-use nocem::shard::ShardedEngine;
 use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
@@ -114,7 +113,7 @@ fn profiling_is_off_by_default_and_behaviour_free() {
 /// Every engine answers `profile()` when profiling is on: non-empty
 /// phase tables, counted cycles, and valid JSON serialization. The
 /// process-driven models charge their opaque scheduler cycle to the
-/// `processes` phase; the sharded engines carry per-worker
+/// `processes` phase; the sharded engine carries per-worker
 /// sub-reports.
 #[test]
 fn every_engine_reports_its_phases() {
@@ -139,9 +138,10 @@ fn every_engine_reports_its_phases() {
             "rtl",
             Box::new(nocem_rtl::model::RtlEngine::new(elaborate(&cfg).unwrap())),
         ),
+        // Per-cycle exchange (batch 1) and batched exchange.
         (
             "sharded",
-            Box::new(ShardedEngine::with_shards(&cfg, 2).unwrap()),
+            Box::new(ShardedCompiledEngine::with_shards(&cfg, 2, 1).unwrap()),
         ),
         (
             "sharded-compiled",
@@ -187,9 +187,9 @@ fn every_engine_reports_its_phases() {
     }
 }
 
-/// The sharded engines' span buffers merge into one Chrome-trace
-/// timeline: valid JSON, spans monotonically ordered by start time,
-/// with both worker tracks and the coordinator present.
+/// The sharded engine's span buffers merge into one Chrome-trace
+/// timeline at any batch: valid JSON, spans monotonically ordered by
+/// start time, with both worker tracks and the coordinator present.
 #[test]
 fn shard_span_traces_are_valid_and_monotonically_ordered() {
     let mut cfg = uniform(MESH8X8, 0.20, 100_000);
@@ -221,11 +221,11 @@ fn shard_span_traces_are_valid_and_monotonically_ordered() {
     );
     validate_json(&trace.to_chrome_trace()).unwrap();
 
-    let mut interpreted = ShardedEngine::with_shards(&cfg, 2).unwrap();
+    let mut per_cycle = ShardedCompiledEngine::with_shards(&cfg, 2, 1).unwrap();
     for _ in 0..128 {
-        SteppableEngine::step(&mut interpreted).unwrap();
+        SteppableEngine::step(&mut per_cycle).unwrap();
     }
-    let trace = SteppableEngine::span_trace(&mut interpreted).expect("spans were enabled");
+    let trace = SteppableEngine::span_trace(&mut per_cycle).expect("spans were enabled");
     assert!(!trace.events().is_empty());
     for w in trace.events().windows(2) {
         assert!(w[0].start_ns <= w[1].start_ns);

@@ -1,22 +1,27 @@
-//! Sharded-compiled-vs-compiled equivalence: the sharded compiled
-//! engine must be *bit-identical* to [`CompiledEngine`] — same packet
-//! ledger, same summary, same results, same telemetry — for every
-//! tested (shards, batch) combination, because batching amortizes
-//! coordinator synchronization without deferring any boundary flit or
-//! credit past its one-cycle link latency.
+//! Sharded equivalence: the sharded compiled engine must be
+//! *bit-identical* to the interpreted [`Emulation`] oracle and to
+//! [`CompiledEngine`] — same packet ledger, same summary, same
+//! results, same telemetry — for every tested (shards, batch)
+//! combination, because batching amortizes coordinator
+//! synchronization without deferring any boundary flit or credit past
+//! its one-cycle link latency.
 //!
-//! The harness steps every engine in lockstep with the compiled
-//! reference, comparing the clock and delivered count after each
-//! cycle, so a divergence is pinpointed to the exact cycle. A proptest
-//! then drives *random partitions* (not just grid stripes) at random
-//! batch sizes against the batch-1 exchange order.
+//! The harness steps every engine in lockstep with both references,
+//! comparing the clock and delivered count after each cycle, so a
+//! divergence is pinpointed to the exact cycle. Fixtures cover meshes
+//! and tori at low and saturating load, the paper's non-grid platform,
+//! unbalanced stripes, drain mode, the cycle limit and clock gating.
+//! A proptest then drives *random partitions* (not just grid stripes)
+//! at random batch sizes against the batch-1 exchange order.
 
 use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
-use nocem::config::{EngineKind, PlatformConfig};
-use nocem::shard::build_engine;
+use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
+use nocem::engine::{build, Emulation};
+use nocem::error::CompileError;
 use nocem::shard_compiled::ShardedCompiledEngine;
+use nocem::sweep::AnyEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
@@ -44,9 +49,14 @@ const TORUS8X8: TopologySpec = TopologySpec::Torus {
 };
 
 /// Steps one sharded compiled engine per `(shards, batch)` case in
-/// lockstep with the compiled reference and asserts full equality:
-/// per-cycle clock + deliveries, final ledger, summary and results.
+/// lockstep with two references, the compiled engine and the
+/// interpreted [`Emulation`] oracle, and asserts full equality against
+/// both: per-cycle clock + deliveries, final ledger, summary and
+/// results. Works in both clock modes: gated runs jump the same
+/// windows on every side, so the per-step clock comparison stays
+/// exact.
 fn assert_lockstep(cfg: &PlatformConfig, cases: &[(usize, u64)]) {
+    let mut oracle = build(cfg).unwrap();
     let mut reference = CompiledEngine::new(elaborate(cfg).unwrap());
     let mut engines: Vec<((usize, u64), ShardedCompiledEngine)> = cases
         .iter()
@@ -57,40 +67,54 @@ fn assert_lockstep(cfg: &PlatformConfig, cases: &[(usize, u64)]) {
             )
         })
         .collect();
-    while !reference.finished() {
+    while !oracle.finished() {
+        oracle.step().unwrap();
         reference.step().unwrap();
+        let (now, delivered) = (oracle.now(), oracle.delivered());
+        assert_eq!(reference.now(), now, "compiled clock diverged");
+        assert_eq!(reference.delivered(), delivered, "compiled diverged");
         for ((k, b), engine) in &mut engines {
             engine.step().unwrap();
             assert_eq!(
                 engine.now(),
-                reference.now(),
+                now,
                 "{k} shards batch {b}: clock diverged on {}",
                 cfg.name
             );
             assert_eq!(
                 engine.delivered(),
-                reference.delivered(),
+                delivered,
                 "{k} shards batch {b}: deliveries diverged at cycle {} on {}",
-                reference.now().raw(),
+                now.raw(),
                 cfg.name
             );
         }
     }
+    assert!(reference.finished(), "compiled stop condition lagged");
+    let results = oracle.results();
+    assert_eq!(reference.results(), results);
     for ((k, b), engine) in &mut engines {
         assert!(engine.finished(), "{k} shards batch {b}: stop lagged");
-        assert_eq!(
-            engine.ledger(),
-            reference.ledger(),
-            "{k} shards batch {b}: packet ledger diverged on {}",
-            cfg.name
-        );
+        for (name, ledger) in [
+            ("Emulation", oracle.ledger()),
+            ("compiled", reference.ledger()),
+        ] {
+            assert_eq!(
+                engine.ledger(),
+                ledger,
+                "{k} shards batch {b}: packet ledger diverged from {name} on {}",
+                cfg.name
+            );
+        }
         assert_eq!(
             SteppableEngine::summary(engine),
-            reference.summary(),
+            SteppableEngine::summary(&oracle),
             "{k} shards batch {b}: summary diverged on {}",
             cfg.name
         );
-        assert_eq!(engine.results().unwrap(), reference.results());
+        assert_eq!(SteppableEngine::summary(engine), reference.summary());
+        assert_eq!(engine.cycles_skipped(), oracle.cycles_skipped());
+        assert_eq!(engine.results().unwrap(), results);
     }
 }
 
@@ -201,10 +225,10 @@ fn windowed_telemetry_is_bit_identical() {
 fn drain_mode_stop_condition_drains_every_shard() {
     let mut cfg = uniform_random(MESH8X8, 0.10, 300);
     cfg.stop.delivered_packets = None;
-    let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
+    let mut reference = build(&cfg).unwrap();
     reference.run().unwrap();
-    for batch in [1, 8] {
-        let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
+    for (shards, batch) in [(2, 1), (2, 8), (4, 1)] {
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, shards, batch).unwrap();
         engine.run().unwrap();
         engine.ledger().verify_drained().unwrap();
         assert_eq!(engine.ledger(), reference.ledger());
@@ -247,11 +271,122 @@ fn engine_kind_round_trips_through_the_generic_builder() {
         shards: 2,
         batch: 8,
     });
-    let mut engine = build_engine(&cfg).unwrap();
-    nocem::run_engine(engine.as_mut()).unwrap();
-    let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
+    let mut engine = AnyEngine::build(&cfg).unwrap();
+    assert!(matches!(engine, AnyEngine::ShardedCompiled(_)));
+    nocem::run_engine(&mut engine).unwrap();
+    let mut reference = build(&cfg).unwrap();
     reference.run().unwrap();
     assert_eq!(engine.packet_ledger(), *reference.ledger());
+}
+
+/// The paper's 6-switch platform is not a grid, so the partitioner
+/// falls back to index stripes; the run still matches the oracle.
+#[test]
+fn paper_platform_index_stripes_match_emulation() {
+    let cfg = PaperConfig::new().total_packets(300).uniform();
+    assert_lockstep(&cfg, &[(2, 1), (2, 16)]);
+}
+
+/// One shard is the whole platform: no boundary links, same ledger.
+#[test]
+fn single_shard_degenerates_cleanly() {
+    let cfg = PaperConfig::new().total_packets(120).burst(4);
+    assert_lockstep(&cfg, &[(1, 1), (1, 16)]);
+    let engine = ShardedCompiledEngine::with_shards(&cfg, 1, 16).unwrap();
+    assert!(engine.partition().boundary_links(&cfg.topology).is_empty());
+}
+
+/// Trace-driven bursty traffic over 3 shards: full results equal the
+/// oracle's (the lockstep compares `results()` at the end).
+#[test]
+fn three_shards_on_trace_bursty_match_emulation_results() {
+    let cfg = PaperConfig::new().total_packets(200).trace_bursty(4);
+    assert_lockstep(&cfg, &[(3, 1), (3, 8)]);
+}
+
+/// 3 shards over 8 rows give unbalanced row stripes (3/3/2), and 5
+/// shards give stripes that are not row-aligned in size.
+#[test]
+fn odd_shard_count_and_non_row_aligned_stripes_agree() {
+    assert_lockstep(
+        &uniform_random(MESH8X8, 0.20, 500),
+        &[(3, 1), (3, 16), (5, 1), (5, 16)],
+    );
+}
+
+/// A run that cannot finish trips the cycle limit with the same error
+/// on the same cycle as the oracle, whatever the batch.
+#[test]
+fn cycle_limit_fires_on_the_same_cycle() {
+    let mut cfg = PaperConfig::new().total_packets(1_000_000).uniform();
+    cfg.stop.cycle_limit = 300;
+    let mut oracle = build(&cfg).unwrap();
+    let expected = oracle.run().unwrap_err();
+    for batch in [1, 16] {
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
+        assert_eq!(engine.run().unwrap_err(), expected, "batch {batch}");
+        assert_eq!(engine.now(), oracle.now(), "batch {batch}");
+    }
+}
+
+#[test]
+fn too_many_shards_is_a_compile_error() {
+    let cfg = PaperConfig::new().total_packets(10).uniform();
+    let err = ShardedCompiledEngine::with_shards(&cfg, 64, 1).unwrap_err();
+    assert!(matches!(err, CompileError::Partition { .. }));
+    assert!(err.to_string().contains("64"), "{err}");
+}
+
+/// Shard-merged windowed telemetry equals the oracle's series on the
+/// paper platform.
+#[test]
+fn paper_platform_telemetry_matches_emulation() {
+    let cfg = PaperConfig::new()
+        .total_packets(300)
+        .uniform()
+        .with_telemetry(Some(TelemetryConfig::windowed(64)));
+    let mut oracle: Emulation = build(&cfg).unwrap();
+    oracle.run().unwrap();
+    oracle.seal_telemetry();
+    let expected = oracle.telemetry().unwrap();
+    assert!(expected.windows_recorded() > 0, "run long enough to window");
+    for batch in [1, 16] {
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
+        engine.run().unwrap();
+        engine.seal_telemetry();
+        assert_eq!(engine.telemetry().unwrap(), expected, "batch {batch}");
+    }
+}
+
+/// Gated runs fast-forward over exactly the cycles the oracle's
+/// single-threaded kernel skips: global quiescence is the conjunction
+/// of the shard predicates and the horizon is the minimum over shard
+/// next-events.
+#[test]
+fn gated_sharded_skips_exactly_like_the_single_threaded_kernel() {
+    let mut cfg = uniform_random(MESH8X8, 0.05, 400);
+    cfg.clock_mode = ClockMode::Gated;
+    let mut oracle = build(&cfg).unwrap();
+    oracle.run().unwrap();
+    assert!(oracle.cycles_skipped() > 0, "a 5%-load run must skip");
+    assert_lockstep(&cfg, &[(2, 1), (4, 16)]);
+}
+
+#[test]
+fn gated_sharded_is_cycle_equivalent_to_ungated_sharded() {
+    let cfg = uniform_random(TORUS8X8, 0.05, 300);
+    let mut gated_cfg = cfg.clone();
+    gated_cfg.clock_mode = ClockMode::Gated;
+    let mut ungated = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
+    ungated.run().unwrap();
+    let mut gated = ShardedCompiledEngine::with_shards(&gated_cfg, 2, 16).unwrap();
+    gated.run().unwrap();
+    assert!(gated.cycles_skipped() > 0);
+    assert_eq!(gated.ledger(), ungated.ledger());
+    assert_eq!(
+        SteppableEngine::summary(&gated).behavioral(),
+        SteppableEngine::summary(&ungated).behavioral()
+    );
 }
 
 proptest! {
