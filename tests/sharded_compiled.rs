@@ -6,117 +6,31 @@
 //! synchronization without deferring any boundary flit or credit past
 //! its one-cycle link latency.
 //!
-//! The harness steps every engine in lockstep with both references,
-//! comparing the clock and delivered count after each cycle, so a
-//! divergence is pinpointed to the exact cycle. Fixtures cover meshes
-//! and tori at low and saturating load, the paper's non-grid platform,
-//! unbalanced stripes, drain mode, the cycle limit and clock gating.
+//! The harness (`common::assert_lockstep`) steps every engine in
+//! lockstep with both references, comparing the clock and delivered
+//! count after each cycle, so a divergence is pinpointed to the exact
+//! cycle. Fixtures cover meshes and tori at low and saturating load
+//! across batch sizes, the paper's non-grid platform, drain mode, the
+//! cycle limit and the gated batch clamp; `tests/sharded_engine.rs`
+//! holds the per-cycle-exchange (batch 1) cases against `Emulation`.
 //! A proptest then drives *random partitions* (not just grid stripes)
 //! at random batch sizes against the batch-1 exchange order.
 
 use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
-use nocem::config::{EngineKind, PaperConfig, PlatformConfig};
+use nocem::config::{EngineKind, PaperConfig};
 use nocem::engine::{build, Emulation};
 use nocem::error::CompileError;
 use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem::sweep::AnyEngine;
-use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
 use nocem_topology::partition::PartitionMap;
 use proptest::prelude::*;
 
-/// A uniform-random scenario config on `topo` at `load` (meshes on XY
-/// routing, tori on 2-VC dateline torus-XY, so flits and credits
-/// cross shard boundaries on both VCs).
-fn uniform_random(topo: TopologySpec, load: f64, packets: u64) -> PlatformConfig {
-    ScenarioRegistry::builtin()
-        .resolve("uniform_random")
-        .unwrap()
-        .build_config(topo, load, 4, packets)
-        .unwrap()
-}
-
-const MESH8X8: TopologySpec = TopologySpec::Mesh {
-    width: 8,
-    height: 8,
-};
-const TORUS8X8: TopologySpec = TopologySpec::Torus {
-    width: 8,
-    height: 8,
-};
-
-/// Steps one sharded compiled engine per `(shards, batch)` case in
-/// lockstep with two references, the compiled engine and the
-/// interpreted [`Emulation`] oracle, and asserts full equality against
-/// both: per-cycle clock + deliveries, final ledger, summary and
-/// results. Works in both clock modes: gated runs jump the same
-/// windows on every side, so the per-step clock comparison stays
-/// exact.
-fn assert_lockstep(cfg: &PlatformConfig, cases: &[(usize, u64)]) {
-    let mut oracle = build(cfg).unwrap();
-    let mut reference = CompiledEngine::new(elaborate(cfg).unwrap());
-    let mut engines: Vec<((usize, u64), ShardedCompiledEngine)> = cases
-        .iter()
-        .map(|&(k, b)| {
-            (
-                (k, b),
-                ShardedCompiledEngine::with_shards(cfg, k, b).unwrap(),
-            )
-        })
-        .collect();
-    while !oracle.finished() {
-        oracle.step().unwrap();
-        reference.step().unwrap();
-        let (now, delivered) = (oracle.now(), oracle.delivered());
-        assert_eq!(reference.now(), now, "compiled clock diverged");
-        assert_eq!(reference.delivered(), delivered, "compiled diverged");
-        for ((k, b), engine) in &mut engines {
-            engine.step().unwrap();
-            assert_eq!(
-                engine.now(),
-                now,
-                "{k} shards batch {b}: clock diverged on {}",
-                cfg.name
-            );
-            assert_eq!(
-                engine.delivered(),
-                delivered,
-                "{k} shards batch {b}: deliveries diverged at cycle {} on {}",
-                now.raw(),
-                cfg.name
-            );
-        }
-    }
-    assert!(reference.finished(), "compiled stop condition lagged");
-    let results = oracle.results();
-    assert_eq!(reference.results(), results);
-    for ((k, b), engine) in &mut engines {
-        assert!(engine.finished(), "{k} shards batch {b}: stop lagged");
-        for (name, ledger) in [
-            ("Emulation", oracle.ledger()),
-            ("compiled", reference.ledger()),
-        ] {
-            assert_eq!(
-                engine.ledger(),
-                ledger,
-                "{k} shards batch {b}: packet ledger diverged from {name} on {}",
-                cfg.name
-            );
-        }
-        assert_eq!(
-            SteppableEngine::summary(engine),
-            SteppableEngine::summary(&oracle),
-            "{k} shards batch {b}: summary diverged on {}",
-            cfg.name
-        );
-        assert_eq!(SteppableEngine::summary(engine), reference.summary());
-        assert_eq!(engine.cycles_skipped(), oracle.cycles_skipped());
-        assert_eq!(engine.results().unwrap(), results);
-    }
-}
+mod common;
+use common::{assert_lockstep, uniform_random, MESH8X8, TORUS8X8};
 
 const CASES: &[(usize, u64)] = &[(2, 1), (2, 4), (2, 16), (4, 1), (4, 4), (4, 16)];
 
@@ -225,10 +139,10 @@ fn windowed_telemetry_is_bit_identical() {
 fn drain_mode_stop_condition_drains_every_shard() {
     let mut cfg = uniform_random(MESH8X8, 0.10, 300);
     cfg.stop.delivered_packets = None;
-    let mut reference = build(&cfg).unwrap();
+    let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
     reference.run().unwrap();
-    for (shards, batch) in [(2, 1), (2, 8), (4, 1)] {
-        let mut engine = ShardedCompiledEngine::with_shards(&cfg, shards, batch).unwrap();
+    for batch in [1, 8] {
+        let mut engine = ShardedCompiledEngine::with_shards(&cfg, 2, batch).unwrap();
         engine.run().unwrap();
         engine.ledger().verify_drained().unwrap();
         assert_eq!(engine.ledger(), reference.ledger());
@@ -274,7 +188,7 @@ fn engine_kind_round_trips_through_the_generic_builder() {
     let mut engine = AnyEngine::build(&cfg).unwrap();
     assert!(matches!(engine, AnyEngine::ShardedCompiled(_)));
     nocem::run_engine(&mut engine).unwrap();
-    let mut reference = build(&cfg).unwrap();
+    let mut reference = CompiledEngine::new(elaborate(&cfg).unwrap());
     reference.run().unwrap();
     assert_eq!(engine.packet_ledger(), *reference.ledger());
 }
@@ -302,16 +216,6 @@ fn single_shard_degenerates_cleanly() {
 fn three_shards_on_trace_bursty_match_emulation_results() {
     let cfg = PaperConfig::new().total_packets(200).trace_bursty(4);
     assert_lockstep(&cfg, &[(3, 1), (3, 8)]);
-}
-
-/// 3 shards over 8 rows give unbalanced row stripes (3/3/2), and 5
-/// shards give stripes that are not row-aligned in size.
-#[test]
-fn odd_shard_count_and_non_row_aligned_stripes_agree() {
-    assert_lockstep(
-        &uniform_random(MESH8X8, 0.20, 500),
-        &[(3, 1), (3, 16), (5, 1), (5, 16)],
-    );
 }
 
 /// A run that cannot finish trips the cycle limit with the same error
@@ -356,37 +260,6 @@ fn paper_platform_telemetry_matches_emulation() {
         engine.seal_telemetry();
         assert_eq!(engine.telemetry().unwrap(), expected, "batch {batch}");
     }
-}
-
-/// Gated runs fast-forward over exactly the cycles the oracle's
-/// single-threaded kernel skips: global quiescence is the conjunction
-/// of the shard predicates and the horizon is the minimum over shard
-/// next-events.
-#[test]
-fn gated_sharded_skips_exactly_like_the_single_threaded_kernel() {
-    let mut cfg = uniform_random(MESH8X8, 0.05, 400);
-    cfg.clock_mode = ClockMode::Gated;
-    let mut oracle = build(&cfg).unwrap();
-    oracle.run().unwrap();
-    assert!(oracle.cycles_skipped() > 0, "a 5%-load run must skip");
-    assert_lockstep(&cfg, &[(2, 1), (4, 16)]);
-}
-
-#[test]
-fn gated_sharded_is_cycle_equivalent_to_ungated_sharded() {
-    let cfg = uniform_random(TORUS8X8, 0.05, 300);
-    let mut gated_cfg = cfg.clone();
-    gated_cfg.clock_mode = ClockMode::Gated;
-    let mut ungated = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
-    ungated.run().unwrap();
-    let mut gated = ShardedCompiledEngine::with_shards(&gated_cfg, 2, 16).unwrap();
-    gated.run().unwrap();
-    assert!(gated.cycles_skipped() > 0);
-    assert_eq!(gated.ledger(), ungated.ledger());
-    assert_eq!(
-        SteppableEngine::summary(&gated).behavioral(),
-        SteppableEngine::summary(&ungated).behavioral()
-    );
 }
 
 proptest! {

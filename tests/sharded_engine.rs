@@ -4,8 +4,10 @@
 //! same latency statistics — on every topology, at low and saturating
 //! load, for any shard count.
 //!
-//! The harness steps the sharded engines in lockstep with a
-//! single-threaded reference, comparing the clock and delivered count
+//! The cases here run the per-cycle exchange (batch 1) unless they say
+//! otherwise; `tests/sharded_compiled.rs` covers larger batches. The
+//! shared harness steps the sharded engines in lockstep with the
+//! single-threaded references, comparing the clock and delivered count
 //! after every cycle so a divergence is pinpointed to the exact cycle
 //! rather than discovered at end of run. A second set of tests proves
 //! that cross-shard clock gating (per-shard quiescence + the
@@ -13,104 +15,78 @@
 //! single-threaded fast-forward kernel skips.
 
 use nocem::clock::{ClockMode, SteppableEngine};
-use nocem::config::{EngineKind, PlatformConfig};
+use nocem::config::EngineKind;
 use nocem::engine::build;
-use nocem::shard::{build_engine, ShardedEngine};
-use nocem_scenarios::registry::ScenarioRegistry;
-use nocem_scenarios::scenario::TopologySpec;
+use nocem::shard_compiled::ShardedCompiledEngine;
+use nocem::sweep::AnyEngine;
 
-/// A uniform-random scenario config on `topo` at `load` (meshes on XY
-/// routing, tori on 2-VC dateline torus-XY — so the torus cases push
-/// flits and credits through per-(boundary-link, VC) channels on both
-/// VCs).
-fn uniform_random(topo: TopologySpec, load: f64, packets: u64) -> PlatformConfig {
-    ScenarioRegistry::builtin()
-        .resolve("uniform_random")
-        .unwrap()
-        .build_config(topo, load, 4, packets)
-        .unwrap()
-}
+mod common;
+use common::{assert_lockstep, uniform_random, MESH8X8, TORUS8X8};
 
-const MESH8X8: TopologySpec = TopologySpec::Mesh {
-    width: 8,
-    height: 8,
-};
-const TORUS8X8: TopologySpec = TopologySpec::Torus {
-    width: 8,
-    height: 8,
-};
-
-/// Steps sharded engines (one per entry of `shard_counts`) in lockstep
-/// with the single-threaded engine and asserts full ledger equality.
-fn assert_sharded_lockstep(cfg: &PlatformConfig, shard_counts: &[usize]) {
-    let mut reference = build(cfg).unwrap();
-    let mut sharded: Vec<(usize, ShardedEngine)> = shard_counts
-        .iter()
-        .map(|&k| (k, ShardedEngine::with_shards(cfg, k).unwrap()))
-        .collect();
-    while !reference.finished() {
-        reference.step().unwrap();
-        for (k, engine) in &mut sharded {
-            engine.step().unwrap();
-            assert_eq!(
-                engine.now(),
-                reference.now(),
-                "{k} shards: clock diverged on {}",
-                cfg.name
-            );
-            assert_eq!(
-                engine.delivered(),
-                reference.delivered(),
-                "{k} shards: deliveries diverged at cycle {} on {}",
-                reference.now().raw(),
-                cfg.name
-            );
-        }
-    }
-    for (k, engine) in &mut sharded {
-        assert!(engine.finished(), "{k} shards: stop condition lagged");
-        assert_eq!(
-            engine.ledger(),
-            reference.ledger(),
-            "{k} shards: packet ledger diverged on {}",
-            cfg.name
-        );
-        assert_eq!(
-            engine.summary(),
-            SteppableEngine::summary(&reference),
-            "{k} shards: summary diverged on {}",
-            cfg.name
-        );
-        assert_eq!(engine.results().unwrap(), reference.results());
-    }
-}
+/// 2 and 4 shards on the per-cycle exchange.
+const PER_CYCLE: &[(usize, u64)] = &[(2, 1), (4, 1)];
 
 #[test]
 fn mesh8x8_low_load_is_ledger_identical() {
-    assert_sharded_lockstep(&uniform_random(MESH8X8, 0.05, 600), &[2, 4]);
+    assert_lockstep(&uniform_random(MESH8X8, 0.05, 600), PER_CYCLE);
 }
 
 #[test]
 fn mesh8x8_saturating_load_is_ledger_identical() {
     // 40% uniform-random on an 8x8 mesh congests the center links;
     // worms block, credits starve, packets park in the source queues.
-    assert_sharded_lockstep(&uniform_random(MESH8X8, 0.40, 900), &[2, 4]);
+    assert_lockstep(&uniform_random(MESH8X8, 0.40, 900), PER_CYCLE);
 }
 
 #[test]
 fn torus8x8_low_load_is_ledger_identical() {
-    assert_sharded_lockstep(&uniform_random(TORUS8X8, 0.05, 600), &[2, 4]);
+    assert_lockstep(&uniform_random(TORUS8X8, 0.05, 600), PER_CYCLE);
 }
 
 #[test]
 fn torus8x8_saturating_load_is_ledger_identical() {
-    assert_sharded_lockstep(&uniform_random(TORUS8X8, 0.40, 900), &[2, 4]);
+    assert_lockstep(&uniform_random(TORUS8X8, 0.40, 900), PER_CYCLE);
+}
+
+/// 3 shards over 8 rows give unbalanced row stripes (3/3/2), and 5
+/// shards give stripes that are not row-aligned in size.
+#[test]
+fn odd_shard_count_and_non_row_aligned_stripes_agree() {
+    assert_lockstep(
+        &uniform_random(MESH8X8, 0.20, 500),
+        &[(3, 1), (3, 16), (5, 1), (5, 16)],
+    );
+}
+
+/// Gated runs fast-forward over exactly the cycles the oracle's
+/// single-threaded kernel skips: global quiescence is the conjunction
+/// of the shard predicates and the horizon is the minimum over shard
+/// next-events.
+#[test]
+fn gated_sharded_skips_exactly_like_the_single_threaded_kernel() {
+    let mut cfg = uniform_random(MESH8X8, 0.05, 400);
+    cfg.clock_mode = ClockMode::Gated;
+    let mut oracle = build(&cfg).unwrap();
+    oracle.run().unwrap();
+    assert!(oracle.cycles_skipped() > 0, "a 5%-load run must skip");
+    assert_lockstep(&cfg, &[(2, 1), (4, 16)]);
 }
 
 #[test]
-fn odd_shard_count_and_non_row_aligned_stripes_agree() {
-    // 3 shards over 8 rows: unbalanced row stripes (3/3/2).
-    assert_sharded_lockstep(&uniform_random(MESH8X8, 0.20, 500), &[3, 5]);
+fn gated_sharded_is_cycle_equivalent_to_ungated_sharded() {
+    let cfg = uniform_random(TORUS8X8, 0.05, 300);
+    let mut gated_cfg = cfg.clone();
+    gated_cfg.clock_mode = ClockMode::Gated;
+    let mut ungated = ShardedCompiledEngine::with_shards(&cfg, 2, 16).unwrap();
+    ungated.run().unwrap();
+    let mut gated = ShardedCompiledEngine::with_shards(&gated_cfg, 2, 16).unwrap();
+    gated.run().unwrap();
+    assert!(gated.cycles_skipped() > 0);
+    assert_eq!(gated.ledger(), ungated.ledger());
+    assert_eq!(
+        SteppableEngine::summary(&gated).behavioral(),
+        SteppableEngine::summary(&ungated).behavioral()
+    );
 }
 
 #[test]
@@ -121,7 +97,7 @@ fn drain_mode_stop_condition_drains_every_shard() {
     cfg.stop.delivered_packets = None;
     let mut reference = build(&cfg).unwrap();
     reference.run().unwrap();
-    let mut sharded = ShardedEngine::with_shards(&cfg, 4).unwrap();
+    let mut sharded = ShardedCompiledEngine::with_shards(&cfg, 4, 1).unwrap();
     sharded.run().unwrap();
     sharded.ledger().verify_drained().unwrap();
     assert_eq!(sharded.ledger(), reference.ledger());
@@ -129,49 +105,14 @@ fn drain_mode_stop_condition_drains_every_shard() {
 }
 
 #[test]
-fn gated_sharded_skips_exactly_like_the_single_threaded_kernel() {
-    // The cross-shard event horizon must reproduce the single-threaded
-    // fast-forward: global quiescence is the conjunction of the shard
-    // predicates and the horizon is the min over shard next-events, so
-    // gated sharded runs skip the *same* cycles.
-    let mut cfg = uniform_random(MESH8X8, 0.05, 400);
-    cfg.clock_mode = ClockMode::Gated;
-    let mut single = build(&cfg).unwrap();
-    single.run().unwrap();
-    let mut sharded = ShardedEngine::with_shards(&cfg, 4).unwrap();
-    sharded.run().unwrap();
-    assert!(
-        sharded.cycles_skipped() > 0,
-        "a 5%-load run must skip cycles"
-    );
-    assert_eq!(
-        sharded.cycles_skipped(),
-        single.cycles_skipped(),
-        "shards changed what the fast-forward kernel skipped"
-    );
-    assert_eq!(sharded.ledger(), single.ledger());
-    assert_eq!(sharded.summary(), SteppableEngine::summary(&single));
-}
-
-#[test]
-fn gated_sharded_is_cycle_equivalent_to_ungated_sharded() {
-    let cfg = uniform_random(TORUS8X8, 0.05, 300);
-    let mut gated_cfg = cfg.clone();
-    gated_cfg.clock_mode = ClockMode::Gated;
-    let mut ungated = ShardedEngine::with_shards(&cfg, 2).unwrap();
-    ungated.run().unwrap();
-    let mut gated = ShardedEngine::with_shards(&gated_cfg, 2).unwrap();
-    gated.run().unwrap();
-    assert!(gated.cycles_skipped() > 0);
-    assert_eq!(gated.ledger(), ungated.ledger());
-    assert_eq!(gated.summary().behavioral(), ungated.summary().behavioral());
-}
-
-#[test]
 fn engine_kind_round_trips_through_the_generic_builder() {
-    let cfg = uniform_random(MESH8X8, 0.10, 200).with_engine(EngineKind::Sharded { shards: 2 });
-    let mut engine = build_engine(&cfg).unwrap();
-    nocem::run_engine(engine.as_mut()).unwrap();
+    let cfg = uniform_random(MESH8X8, 0.10, 200).with_engine(EngineKind::ShardedCompiled {
+        shards: 2,
+        batch: 1,
+    });
+    let mut engine = AnyEngine::build(&cfg).unwrap();
+    assert!(matches!(engine, AnyEngine::ShardedCompiled(_)));
+    nocem::run_engine(&mut engine).unwrap();
     let mut reference = build(&cfg).unwrap();
     reference.run().unwrap();
     assert_eq!(engine.packet_ledger(), *reference.ledger());
