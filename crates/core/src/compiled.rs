@@ -38,9 +38,19 @@
 //! * **No allocation** — grants, requests and transfers live in
 //!   persistent scratch reused every cycle.
 //!
+//! One cycle body serves both compiled engines: `CompiledEngine::cycle`
+//! runs TG release, decide, NI inject and commit (with the pop-forward
+//! and delivery they drive) over the switches and generators a
+//! `CycleEdge` names, and routes every event that leaves them through
+//! the edge's hooks. This engine's edge is the whole platform with its
+//! own ledger; the shard worker's edge is one owned slice whose ledger
+//! events and boundary traffic become records. The kernel is
+//! monomorphised per edge, so no hook is dynamically dispatched.
+//!
 //! Switches whose port×VC counts exceed 64 slots (a large star hub)
-//! fall back to dense scans with identical semantics — the mask path
-//! is an optimisation, never a constraint on topology.
+//! fall back to dense decide and commit scans with identical semantics,
+//! on either edge — the mask path is an optimisation, never a
+//! constraint on topology.
 
 use crate::clock::{self, ClockMode, EngineSummary, SteppableEngine};
 use crate::compile::{
@@ -271,6 +281,132 @@ fn select_hop(
     }
 }
 
+/// Where one compiled cycle meets the rest of the platform: which
+/// switches and generators [`CompiledEngine::cycle`] steps, and what
+/// becomes of each event that leaves them — packet ids and ledger
+/// events, credits owed upstream, flits crossing out of the slice.
+///
+/// The kernel is generic over this trait and monomorphised per edge,
+/// so the hooks inline into it and nothing per cycle is dynamically
+/// dispatched. The default hooks are [`CompiledEngine`]'s own edge
+/// ([`Whole`]): every switch and generator, final packet ids, and every
+/// event applied to the engine's ledger on the spot. The shard worker
+/// in [`crate::shard_compiled`] overrides each of them for its owned
+/// slice, turning events into records for neighbours and the
+/// coordinator.
+pub(crate) trait CycleEdge {
+    /// How many switches the cycle steps.
+    #[inline]
+    fn switch_count(&self, eng: &CompiledEngine) -> usize {
+        eng.low.switch_count
+    }
+
+    /// The `k`-th stepped switch; ids ascend with `k`, which is the
+    /// reference commit order.
+    #[inline]
+    fn switch(&self, k: usize) -> usize {
+        k
+    }
+
+    /// How many generators the cycle steps.
+    #[inline]
+    fn generator_count(&self, eng: &CompiledEngine) -> usize {
+        eng.tgs.len()
+    }
+
+    /// The `k`-th stepped generator; indices ascend with `k`.
+    #[inline]
+    fn generator(&self, k: usize) -> usize {
+        k
+    }
+
+    /// Generator `i` releases a `len_flits` packet at `now`: returns
+    /// the id its flits carry.
+    #[inline]
+    fn release(
+        &mut self,
+        eng: &mut CompiledEngine,
+        _i: usize,
+        len_flits: u16,
+        now: Cycle,
+    ) -> Result<PacketId, EmulationError> {
+        let id = PacketId::new(eng.next_packet);
+        eng.next_packet += 1;
+        PhaseProfiler::nest(&mut eng.profiler, Phase::Ledger, || {
+            eng.ledger.release(id, now, len_flits)
+        })?;
+        Ok(id)
+    }
+
+    /// The head flit of `packet` enters the network at `now`.
+    #[inline]
+    fn inject(
+        &mut self,
+        eng: &mut CompiledEngine,
+        packet: PacketId,
+        now: Cycle,
+    ) -> Result<(), EmulationError> {
+        PhaseProfiler::nest(&mut eng.profiler, Phase::Ledger, || {
+            eng.ledger.inject(packet, now)
+        })?;
+        Ok(())
+    }
+
+    /// A flit left an input VC fed by global output slot `up`: one
+    /// credit is owed to that slot.
+    #[inline]
+    fn credit(&mut self, eng: &mut CompiledEngine, up: usize) {
+        eng.return_credit(up);
+    }
+
+    /// Switch `from` popped flit handle `h` through global output port
+    /// `gp` onto VC `vc` of the input port at `slot_base` of `switch`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn forward(
+        &mut self,
+        eng: &mut CompiledEngine,
+        _from: usize,
+        _gp: usize,
+        switch: u32,
+        slot_base: u32,
+        h: u32,
+        vc: usize,
+    ) -> Result<(), EmulationError> {
+        eng.accept_flit(switch as usize, slot_base, h, vc)
+    }
+
+    /// Receptor `receptor`, fed by global output port `gp`, completed
+    /// `pkt` at `now`.
+    #[inline]
+    fn deliver(
+        &mut self,
+        eng: &mut CompiledEngine,
+        _gp: usize,
+        receptor: usize,
+        pkt: CompletedPacket,
+        now: Cycle,
+    ) -> Result<(), EmulationError> {
+        let lat = PhaseProfiler::nest(&mut eng.profiler, Phase::Ledger, || {
+            eng.ledger.deliver(pkt.id, now, pkt.len_flits)
+        })?;
+        eng.delivered_flits += u64::from(pkt.len_flits);
+        if let ReceptorDevice::Trace(r) = &mut eng.receptors[receptor] {
+            r.record_latency(lat.network, lat.total);
+        }
+        Ok(())
+    }
+
+    /// Input slot `islot` popped a flit at `now`.
+    #[inline]
+    fn popped(&mut self, _islot: usize, _now: Cycle) {}
+}
+
+/// [`CompiledEngine`]'s own edge: the default hooks.
+struct Whole;
+
+impl CycleEdge for Whole {}
+
 impl CompiledEngine {
     /// Lowers `elab` and wraps it into a runnable compiled engine.
     ///
@@ -423,18 +559,10 @@ impl CompiledEngine {
         self.tg_synced[i] = now.raw();
     }
 
-    /// Closes a profiling lap: charges `phase` the time since `*t` and
-    /// chains the next timestamp. No-op (a single `Option` check) when
-    /// profiling is off.
-    #[inline]
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Advances one platform cycle — the exact phase order of
-    /// [`crate::engine::Emulation::step`] over the flat arrays.
+    /// [`crate::engine::Emulation::step`] over the flat arrays: gating
+    /// and the telemetry probe, the shared cycle kernel over the whole
+    /// platform, then the stall watchdog and the cycle limit.
     ///
     /// # Errors
     ///
@@ -462,7 +590,7 @@ impl CompiledEngine {
                 }
             }
         }
-        self.lap(&mut t, Phase::FastForward);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::FastForward);
         if self
             .telemetry
             .as_ref()
@@ -475,15 +603,59 @@ impl CompiledEngine {
                 .expect("presence checked above")
                 .record(at, &probe);
         }
-        self.lap(&mut t, Phase::Probe);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Probe);
         let now = self.now;
+        self.cycle(now, &mut Whole, &mut t)?;
 
+        // Stall watchdog: feed the ledger counters once per stepped
+        // cycle; on the trip, capture the wait-for snapshot.
+        let tripped = match self.watchdog.as_mut() {
+            Some(w) => w.observe(
+                now.raw(),
+                self.ledger.released(),
+                self.ledger.injected(),
+                self.ledger.delivered(),
+                self.ledger.in_flight(),
+            ),
+            None => false,
+        };
+        if tripped {
+            let report = self.capture_stall_report(now.raw());
+            self.watchdog
+                .as_mut()
+                .expect("tripped implies watchdog")
+                .latch(report);
+        }
+
+        // 5. Advance time.
+        self.now = now.next();
+        if self.now.raw() > self.config.stop.cycle_limit {
+            return Err(EmulationError::CycleLimitExceeded {
+                limit: self.config.stop.cycle_limit,
+                delivered: self.ledger.delivered(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The cycle kernel: phases 1–4 of one cycle over the switches and
+    /// generators `edge` names, with every event that leaves them
+    /// routed through `edge`'s hooks. `t` is the profiling chain; each
+    /// phase is lapped on this engine's profiler (a no-op when it is
+    /// off, as on shard workers).
+    pub(crate) fn cycle<E: CycleEdge>(
+        &mut self,
+        now: Cycle,
+        edge: &mut E,
+        t: &mut Option<Instant>,
+    ) -> Result<(), EmulationError> {
         // 1. Traffic models release packets (parked requests retry
         //    first, exactly like the interpreted engine). TGs whose
         //    next event lies in the future are not ticked: those ticks
         //    are pure countdowns, replayed in one `skip_to` jump right
         //    before the next real tick.
-        for i in 0..self.tgs.len() {
+        for k in 0..edge.generator_count(self) {
+            let i = edge.generator(k);
             let req = match self.pending[i].take() {
                 Some(req) if self.nis[i].can_accept() => {
                     // The tick clock was paused while the request was
@@ -517,7 +689,7 @@ impl CompiledEngine {
                     req
                 }
             };
-            let id = PacketId::new(self.next_packet);
+            let id = edge.release(self, i, req.len_flits, now)?;
             let desc = PacketDescriptor {
                 id,
                 src: self.generator_endpoints[i],
@@ -529,23 +701,16 @@ impl CompiledEngine {
             let accepted = self.nis[i].offer(desc);
             debug_assert!(accepted, "capacity was checked before the offer");
             self.ni_active[i] = true;
-            self.next_packet += 1;
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            self.ledger.release(id, now, req.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
         }
-        self.lap(&mut t, Phase::TgTick);
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::TgTick);
 
-        // 2. All switches decide on start-of-cycle state. A switch
-        //    with no buffered flit can produce no request, move no
-        //    pointer and step no LFSR — skip it entirely.
+        // 2. All switches decide on start-of-cycle state. Decide has no
+        //    cross-switch effects. A switch with no buffered flit can
+        //    produce no request, move no pointer and step no LFSR —
+        //    skip it entirely.
         let vc1 = self.low.num_vcs == 1;
-        for s in 0..self.low.switch_count {
+        for k in 0..edge.switch_count(self) {
+            let s = edge.switch(k);
             if self.occ_flits[s] == 0 {
                 self.active[s] = false;
                 continue;
@@ -561,11 +726,12 @@ impl CompiledEngine {
                 self.decide_switch_dense(s);
             }
         }
-        self.lap(&mut t, Phase::Decide);
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::Decide);
 
         // 3. Network interfaces inject (visible next cycle). An idle
         //    NI's `tick_send` is a pure no-op — skipped.
-        for i in 0..self.nis.len() {
+        for k in 0..edge.generator_count(self) {
+            let i = edge.generator(k);
             if !self.ni_active[i] {
                 continue;
             }
@@ -576,67 +742,33 @@ impl CompiledEngine {
                 continue;
             };
             if flit.kind.is_head() {
-                let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-                self.ledger.inject(flit.packet, now)?;
-                if let Some(s) = ledger_start {
-                    self.profiler
-                        .as_mut()
-                        .expect("timestamp implies profiler")
-                        .nested(s, Phase::Ledger);
-                }
+                edge.inject(self, flit.packet, now)?;
             }
             let (sw, base) = (self.low.inject_switch[i], self.low.inject_slot_base[i]);
             let vc = flit.vc.index();
             let h = self.intern(flit);
             self.accept_flit(sw as usize, base, h, vc)?;
         }
-        self.lap(&mut t, Phase::NiInject);
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::NiInject);
 
-        // 4. All decided switches commit; flits move one hop.
-        for s in 0..self.low.switch_count {
+        // 4. All decided switches commit, ascending global order; flits
+        //    move one hop.
+        for k in 0..edge.switch_count(self) {
+            let s = edge.switch(k);
             if !self.active[s] {
                 continue;
             }
             if self.mask_ok[s] {
                 if vc1 {
-                    self.commit_switch_mask_vc1(s, now)?;
+                    self.commit_switch_mask_vc1(s, now, edge)?;
                 } else {
-                    self.commit_switch_mask(s, now)?;
+                    self.commit_switch_mask(s, now, edge)?;
                 }
             } else {
-                self.commit_switch_dense(s, now)?;
+                self.commit_switch_dense(s, now, edge)?;
             }
         }
-        self.lap(&mut t, Phase::Commit);
-
-        // Stall watchdog: feed the ledger counters once per stepped
-        // cycle; on the trip, capture the wait-for snapshot.
-        let tripped = match self.watchdog.as_mut() {
-            Some(w) => w.observe(
-                now.raw(),
-                self.ledger.released(),
-                self.ledger.injected(),
-                self.ledger.delivered(),
-                self.ledger.in_flight(),
-            ),
-            None => false,
-        };
-        if tripped {
-            let report = self.capture_stall_report(now.raw());
-            self.watchdog
-                .as_mut()
-                .expect("tripped implies watchdog")
-                .latch(report);
-        }
-
-        // 5. Advance time.
-        self.now = now.next();
-        if self.now.raw() > self.config.stop.cycle_limit {
-            return Err(EmulationError::CycleLimitExceeded {
-                limit: self.config.stop.cycle_limit,
-                delivered: self.ledger.delivered(),
-            });
-        }
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::Commit);
         Ok(())
     }
 
@@ -727,28 +859,21 @@ impl CompiledEngine {
         enc
     }
 
-    /// Phase 1 of one switch on the 64-bit mask fast path: requests,
-    /// VC allocation and switch allocation, iterating occupied and
-    /// requested slots only (ascending bit order = the reference's
-    /// ascending slot order).
-    pub(crate) fn decide_switch_mask(&mut self, s: usize) {
+    /// Requests of switch `s` on the mask path: worms repeat their
+    /// allocation; fresh heads route (cached sticky in `chosen`) and
+    /// select. Sets each requester's bit in its out-slot's `slot_reqs`
+    /// mask and returns the mask of requested out-slots. One request
+    /// mask per out-slot carries both kinds — safely, because a worm
+    /// bit can only appear in the mask of its own *busy* out-slot, and
+    /// VC allocation only ever reads the masks of free out-slots, which
+    /// are pure fresh heads.
+    #[inline]
+    fn mask_requests(&mut self, s: usize) -> u64 {
         let low = &mut self.low;
-        let vcs = low.num_vcs;
         let depth = low.fifo_depth;
         let isb = low.in_slot_base[s] as usize;
-        let osb = low.out_slot_base[s] as usize;
-        let opb = low.out_port_base[s] as usize;
-
-        // Requests: worms repeat their allocation; fresh heads route
-        // (cached sticky in `chosen`) and select. One request mask per
-        // out-slot carries both kinds — safely, because a worm bit can
-        // only appear in the mask of its own *busy* out-slot, and the
-        // VC-allocation arbiter below only ever reads the masks of
-        // free out-slots, which are pure fresh heads.
-        let occ = self.occ_mask[s];
-        let mut oslot_mask: u64 = 0; // out-slots with any request
-        let mut out_mask: u64 = 0; // out-ports with any request
-        let mut m = occ;
+        let mut oslot_mask: u64 = 0;
+        let mut m = self.occ_mask[s];
         while m != 0 {
             let iv = (m.trailing_zeros() & 63) as usize;
             m &= m - 1;
@@ -768,8 +893,27 @@ impl CompiledEngine {
             };
             self.slot_reqs[usize::from(hop)] |= 1 << iv;
             oslot_mask |= 1 << hop;
-            out_mask |= 1 << self.slot_port[usize::from(hop)];
         }
+        oslot_mask
+    }
+
+    /// Phase 1 of one switch on the 64-bit mask fast path: requests,
+    /// VC allocation and switch allocation, iterating occupied and
+    /// requested slots only (ascending bit order = the reference's
+    /// ascending slot order).
+    fn decide_switch_mask(&mut self, s: usize) {
+        let occ = self.occ_mask[s];
+        let oslot_mask = self.mask_requests(s); // out-slots with any request
+        let mut out_mask: u64 = 0; // out-ports with any request
+        let mut m = oslot_mask;
+        while m != 0 {
+            out_mask |= 1 << self.slot_port[(m.trailing_zeros() & 63) as usize];
+            m &= m - 1;
+        }
+        let low = &mut self.low;
+        let vcs = low.num_vcs;
+        let osb = low.out_slot_base[s] as usize;
+        let opb = low.out_port_base[s] as usize;
 
         // VC allocation: every requested, free, credited output VC
         // picks one head, ascending slot order.
@@ -864,42 +1008,12 @@ impl CompiledEngine {
     /// VC rotation degenerates to a single probe and the per-port
     /// "one input sends" constraint coincides with the granted-slot
     /// set, so the whole decide runs on three bit masks.
-    pub(crate) fn decide_switch_mask_vc1(&mut self, s: usize) {
+    fn decide_switch_mask_vc1(&mut self, s: usize) {
+        let occ = self.occ_mask[s];
+        let out_mask = self.mask_requests(s); // out-ports with any request
         let low = &mut self.low;
-        let depth = low.fifo_depth;
-        let isb = low.in_slot_base[s] as usize;
         let osb = low.out_slot_base[s] as usize;
         let opb = low.out_port_base[s] as usize;
-
-        // Requests: worms repeat their allocation; fresh heads route
-        // (cached sticky in `chosen`) and select. One request mask per
-        // out-port carries both kinds — safely, because a worm bit can
-        // only appear in the mask of its own *busy* output, and the
-        // VC-allocation arbiter below only ever reads the masks of
-        // free outputs, which are pure fresh heads.
-        let occ = self.occ_mask[s];
-        let mut out_mask: u64 = 0; // out-ports with any request
-        let mut m = occ;
-        while m != 0 {
-            let iv = (m.trailing_zeros() & 63) as usize;
-            m &= m - 1;
-            let slot = isb + iv;
-            let st = low.in_state[slot];
-            let hop = if st.allocated != SLOT_NONE {
-                st.allocated
-            } else if st.chosen != SLOT_NONE {
-                st.chosen
-            } else {
-                let h = low.fifo_arena[slot * depth + st.head as usize];
-                debug_assert!(
-                    h & HANDLE_HEAD != 0,
-                    "unallocated input VC must face a head flit (wormhole ordering)"
-                );
-                Self::route_and_select(low, s, slot, &self.flit_pool[(h & HANDLE_IDX) as usize])
-            };
-            self.slot_reqs[usize::from(hop)] |= 1 << iv;
-            out_mask |= 1 << hop;
-        }
 
         // VC allocation, switch allocation and congestion accounting
         // fused into one pass per requested output, ascending port
@@ -945,7 +1059,7 @@ impl CompiledEngine {
 
     /// Phase 1, dense fallback for switches whose port×VC dims exceed
     /// the 64-bit masks — full scans, identical semantics.
-    pub(crate) fn decide_switch_dense(&mut self, s: usize) {
+    fn decide_switch_dense(&mut self, s: usize) {
         let low = &mut self.low;
         let vcs = low.num_vcs;
         let depth = low.fifo_depth;
@@ -1088,29 +1202,37 @@ impl CompiledEngine {
         }
     }
 
-    /// Pops port `o`'s granted flit of switch `s` and carries the
-    /// transfer end to end: wormhole, credit and occupancy bookkeeping
-    /// on the popping switch, then the engine-side effects in the
-    /// interpreted engine's exact transfer order — return the credit
-    /// upstream, land the flit downstream. Shared by the multi-VC mask
-    /// and dense commit paths.
+    /// Applies this cycle's VC allocation of local out-slot `slot` of
+    /// the switch whose slot bases are `isb`/`osb`: the winning head
+    /// owns its output VC from now on, whether or not its flit also
+    /// crosses this cycle.
     #[inline]
-    fn pop_forward(
+    fn apply_vc_grant(&mut self, isb: usize, osb: usize, slot: usize) {
+        let gslot = osb + slot;
+        let iv = self.vc_granted[gslot];
+        self.vc_granted[gslot] = SLOT_NONE;
+        let ist = &mut self.low.in_state[isb + iv as usize];
+        ist.allocated = slot as u16;
+        ist.chosen = SLOT_NONE;
+        self.low.out_state[gslot].busy_with = iv;
+        self.open_worms += 1;
+    }
+
+    /// Pops the head flit of switch `s`'s input VC `iv` (global slot
+    /// `islot`) granted to global out-slot `gslot`: FIFO, wormhole,
+    /// occupancy and credit bookkeeping on the popping switch. Returns
+    /// the flit's handle.
+    #[inline]
+    fn pop_granted<E: CycleEdge>(
         &mut self,
         s: usize,
-        g: u32,
-        o: usize,
+        iv: usize,
+        islot: usize,
+        gslot: usize,
         now: Cycle,
-    ) -> Result<(), EmulationError> {
-        let vcs = self.low.num_vcs;
+        edge: &mut E,
+    ) -> u32 {
         let depth = self.low.fifo_depth;
-        let isb = self.low.in_slot_base[s] as usize;
-        let osb = self.low.out_slot_base[s] as usize;
-        let ipb = self.low.in_port_base[s] as usize;
-        let opb = self.low.out_port_base[s] as usize;
-        let iv = (g >> 8) as usize;
-        let ov = (g & 0xFF) as usize;
-        let islot = isb + iv;
         let ist = &mut self.low.in_state[islot];
         debug_assert!(ist.len > 0, "granted input VC has a flit at its head");
         let head = ist.head as usize;
@@ -1128,7 +1250,7 @@ impl CompiledEngine {
         }
         self.occ_flits[s] -= 1;
         self.total_occ -= 1;
-        let gslot = osb + o * vcs + ov;
+        edge.popped(islot, now);
         let ost = &mut self.low.out_state[gslot];
         if ost.credits != CREDITS_INFINITE {
             ost.credits -= 1;
@@ -1138,64 +1260,70 @@ impl CompiledEngine {
             ost.busy_with = SLOT_NONE;
             self.open_worms -= 1;
         }
+        h
+    }
+
+    /// Pops port `o`'s granted flit of switch `s` and carries the
+    /// transfer end to end: the popping switch's bookkeeping, then the
+    /// engine-side effects in the interpreted engine's exact transfer
+    /// order — return the credit upstream, land the flit downstream.
+    /// Shared by the multi-VC mask and dense commit paths.
+    #[inline]
+    fn pop_forward<E: CycleEdge>(
+        &mut self,
+        s: usize,
+        g: u32,
+        o: usize,
+        now: Cycle,
+        edge: &mut E,
+    ) -> Result<(), EmulationError> {
+        let vcs = self.low.num_vcs;
+        let ipb = self.low.in_port_base[s] as usize;
+        let gp = self.low.out_port_base[s] as usize + o;
+        let iv = (g >> 8) as usize;
+        let ov = (g & 0xFF) as usize;
+        let islot = self.low.in_slot_base[s] as usize + iv;
+        let gslot = self.low.out_slot_base[s] as usize + o * vcs + ov;
+        let h = self.pop_granted(s, iv, islot, gslot, now, edge);
         // The flit continues on the output VC the allocation chose;
         // the downstream switch lands it in that buffer (the VC rides
         // beside the handle, not in the pooled flit).
-        self.forwarded_out[opb + o] += 1;
+        self.forwarded_out[gp] += 1;
         let i = self.iv_port[iv] as usize;
         let v = iv - i * vcs;
         match self.low.in_feed[ipb + i] {
-            LoweredInFeed::Switch { slot_base } => {
-                // The upstream output VC the flit occupied is the
-                // input VC it just vacated here.
-                let up = slot_base as usize + v;
-                let ust = &mut self.low.out_state[up];
-                if ust.credits != CREDITS_INFINITE {
-                    ust.credits += 1;
-                    self.credit_debt -= 1;
-                    debug_assert!(
-                        ust.credits <= self.low.credit_cap[up],
-                        "credit overflow on a lowered output slot"
-                    );
-                }
-            }
-            LoweredInFeed::Generator { index } => {
-                self.nis[index as usize].credit_return();
-            }
+            // The upstream output VC the flit occupied is the input VC
+            // it just vacated here.
+            LoweredInFeed::Switch { slot_base } => edge.credit(self, slot_base as usize + v),
+            LoweredInFeed::Generator { index } => self.nis[index as usize].credit_return(),
         }
-        match self.low.out_dest[opb + o] {
+        match self.low.out_dest[gp] {
             LoweredOutDest::Switch { switch, slot_base } => {
-                self.accept_flit(switch as usize, slot_base, h, ov)?;
+                edge.forward(self, s, gp, switch, slot_base, h, ov)
             }
             LoweredOutDest::Receptor { index } => {
-                self.deliver(index as usize, h, ov, now)?;
+                self.deliver(gp, index as usize, h, ov, now, edge)
             }
         }
-        Ok(())
     }
 
     /// Phase 2 of one switch on the mask path: apply VC allocations,
     /// then pop-and-forward granted flits, both over this cycle's
     /// grant masks.
-    fn commit_switch_mask(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
+    fn commit_switch_mask<E: CycleEdge>(
+        &mut self,
+        s: usize,
+        now: Cycle,
+        edge: &mut E,
+    ) -> Result<(), EmulationError> {
         let isb = self.low.in_slot_base[s] as usize;
         let osb = self.low.out_slot_base[s] as usize;
-
-        // VC allocations first: the winning head owns its output VC
-        // from now on, whether or not its flit also crosses this cycle.
         let mut vm = self.vcg_mask[s];
         self.vcg_mask[s] = 0;
         while vm != 0 {
             let slot = vm.trailing_zeros() as usize;
             vm &= vm - 1;
-            let gslot = osb + slot;
-            let iv = self.vc_granted[gslot];
-            self.vc_granted[gslot] = SLOT_NONE;
-            let ist = &mut self.low.in_state[isb + iv as usize];
-            ist.allocated = slot as u16;
-            ist.chosen = SLOT_NONE;
-            self.low.out_state[gslot].busy_with = iv;
-            self.open_worms += 1;
+            self.apply_vc_grant(isb, osb, slot);
         }
 
         let mut gm = self.grant_mask[s];
@@ -1207,33 +1335,29 @@ impl CompiledEngine {
             let gp = opb + o;
             let g = self.granted[gp];
             self.granted[gp] = LOWERED_NONE;
-            self.pop_forward(s, g, o, now)?;
+            self.pop_forward(s, g, o, now, edge)?;
         }
         Ok(())
     }
 
     /// Phase 2 on the mask fast path, specialized for one VC — the
     /// pop-and-forward is inlined with `ov == 0`, `slot == port`.
-    fn commit_switch_mask_vc1(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
+    fn commit_switch_mask_vc1<E: CycleEdge>(
+        &mut self,
+        s: usize,
+        now: Cycle,
+        edge: &mut E,
+    ) -> Result<(), EmulationError> {
         let isb = self.low.in_slot_base[s] as usize;
         let osb = self.low.out_slot_base[s] as usize;
         let ipb = self.low.in_port_base[s] as usize;
         let opb = self.low.out_port_base[s] as usize;
-        let depth = self.low.fifo_depth;
-
         let mut vm = self.vcg_mask[s];
         self.vcg_mask[s] = 0;
         while vm != 0 {
             let o = vm.trailing_zeros() as usize;
             vm &= vm - 1;
-            let gslot = osb + o;
-            let iv = self.vc_granted[gslot];
-            self.vc_granted[gslot] = SLOT_NONE;
-            let ist = &mut self.low.in_state[isb + iv as usize];
-            ist.allocated = o as u16;
-            ist.chosen = SLOT_NONE;
-            self.low.out_state[gslot].busy_with = iv;
-            self.open_worms += 1;
+            self.apply_vc_grant(isb, osb, o);
         }
 
         let mut gm = self.grant_mask[s];
@@ -1245,58 +1369,19 @@ impl CompiledEngine {
             let g = self.granted[gp];
             self.granted[gp] = LOWERED_NONE;
             let iv = (g >> 8) as usize;
-            let islot = isb + iv;
-            let ist = &mut self.low.in_state[islot];
-            debug_assert!(ist.len > 0, "granted input VC has a flit at its head");
-            let head = ist.head as usize;
-            let next = head + 1;
-            ist.head = if next == depth { 0 } else { next } as u8;
-            let left = ist.len - 1;
-            ist.len = left;
-            let h = self.low.fifo_arena[islot * depth + head];
-            let tail = h & HANDLE_TAIL != 0;
-            if tail {
-                ist.allocated = SLOT_NONE;
-            }
-            if left == 0 {
-                self.occ_mask[s] &= !(1 << iv);
-            }
-            self.occ_flits[s] -= 1;
-            self.total_occ -= 1;
-            let ost = &mut self.low.out_state[osb + o];
-            if ost.credits != CREDITS_INFINITE {
-                ost.credits -= 1;
-                self.credit_debt += 1;
-            }
-            if tail {
-                ost.busy_with = SLOT_NONE;
-                self.open_worms -= 1;
-            }
+            let h = self.pop_granted(s, iv, isb + iv, osb + o, now, edge);
             // A 1-VC flit already rides VC 0; no rewrite needed.
             self.forwarded_out[gp] += 1;
             match self.low.in_feed[ipb + iv] {
-                LoweredInFeed::Switch { slot_base } => {
-                    let up = slot_base as usize;
-                    let ust = &mut self.low.out_state[up];
-                    if ust.credits != CREDITS_INFINITE {
-                        ust.credits += 1;
-                        self.credit_debt -= 1;
-                        debug_assert!(
-                            ust.credits <= self.low.credit_cap[up],
-                            "credit overflow on a lowered output slot"
-                        );
-                    }
-                }
-                LoweredInFeed::Generator { index } => {
-                    self.nis[index as usize].credit_return();
-                }
+                LoweredInFeed::Switch { slot_base } => edge.credit(self, slot_base as usize),
+                LoweredInFeed::Generator { index } => self.nis[index as usize].credit_return(),
             }
             match self.low.out_dest[gp] {
                 LoweredOutDest::Switch { switch, slot_base } => {
-                    self.accept_flit(switch as usize, slot_base, h, 0)?;
+                    edge.forward(self, s, gp, switch, slot_base, h, 0)?;
                 }
                 LoweredOutDest::Receptor { index } => {
-                    self.deliver(index as usize, h, 0, now)?;
+                    self.deliver(gp, index as usize, h, 0, now, edge)?;
                 }
             }
         }
@@ -1304,25 +1389,21 @@ impl CompiledEngine {
     }
 
     /// Phase 2, dense fallback — full scans, identical semantics.
-    fn commit_switch_dense(&mut self, s: usize, now: Cycle) -> Result<(), EmulationError> {
+    fn commit_switch_dense<E: CycleEdge>(
+        &mut self,
+        s: usize,
+        now: Cycle,
+        edge: &mut E,
+    ) -> Result<(), EmulationError> {
         let vcs = self.low.num_vcs;
         let outputs = self.low.outputs[s] as usize;
         let isb = self.low.in_slot_base[s] as usize;
         let osb = self.low.out_slot_base[s] as usize;
         let opb = self.low.out_port_base[s] as usize;
-
         for slot in 0..outputs * vcs {
-            let gslot = osb + slot;
-            let iv = self.vc_granted[gslot];
-            if iv == SLOT_NONE {
-                continue;
+            if self.vc_granted[osb + slot] != SLOT_NONE {
+                self.apply_vc_grant(isb, osb, slot);
             }
-            self.vc_granted[gslot] = SLOT_NONE;
-            let ist = &mut self.low.in_state[isb + iv as usize];
-            ist.allocated = slot as u16;
-            ist.chosen = SLOT_NONE;
-            self.low.out_state[gslot].busy_with = iv;
-            self.open_worms += 1;
         }
 
         for o in 0..outputs {
@@ -1332,9 +1413,24 @@ impl CompiledEngine {
                 continue;
             }
             self.granted[gp] = LOWERED_NONE;
-            self.pop_forward(s, g, o, now)?;
+            self.pop_forward(s, g, o, now, edge)?;
         }
         Ok(())
+    }
+
+    /// Returns one credit to global output slot `up` (infinite credit
+    /// is never counted).
+    #[inline]
+    pub(crate) fn return_credit(&mut self, up: usize) {
+        let ust = &mut self.low.out_state[up];
+        if ust.credits != CREDITS_INFINITE {
+            ust.credits += 1;
+            self.credit_debt -= 1;
+            debug_assert!(
+                ust.credits <= self.low.credit_cap[up],
+                "credit overflow on a lowered output slot"
+            );
+        }
     }
 
     /// Lands flit handle `h` in the FIFO of `(switch, port base, vc)`
@@ -1379,20 +1475,30 @@ impl CompiledEngine {
         Ok(())
     }
 
-    /// Ejects flit handle `h` on output VC `vc` into receptor `index`:
-    /// reads the pooled flit back (stamping the final VC the way each
-    /// hop would have), frees its pool slot and runs the receptor.
-    fn deliver(
+    /// Frees flit handle `h`'s pool slot and returns the flit it held.
+    #[inline]
+    pub(crate) fn take_flit(&mut self, h: u32) -> Flit {
+        let idx = h & HANDLE_IDX;
+        self.flit_free.push(idx);
+        self.flit_pool[idx as usize]
+    }
+
+    /// Ejects flit handle `h` on output VC `vc` through global output
+    /// port `gp` into receptor `index`: reads the pooled flit back
+    /// (stamping the final VC the way each hop would have), frees its
+    /// pool slot, runs the receptor and hands a completed packet to
+    /// `edge`.
+    fn deliver<E: CycleEdge>(
         &mut self,
+        gp: usize,
         index: usize,
         h: u32,
         vc: usize,
         now: Cycle,
+        edge: &mut E,
     ) -> Result<(), EmulationError> {
-        let idx = h & HANDLE_IDX;
-        let mut flit = self.flit_pool[idx as usize];
+        let mut flit = self.take_flit(h);
         flit.vc = VcId::new(vc as u8);
-        self.flit_free.push(idx);
         let completed: Option<CompletedPacket> = match &mut self.receptors[index] {
             ReceptorDevice::Stochastic(r) => {
                 r.accept(&flit, now)
@@ -1409,21 +1515,10 @@ impl CompiledEngine {
                     })?
             }
         };
-        if let Some(pkt) = completed {
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            let lat = self.ledger.deliver(pkt.id, now, pkt.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
-            self.delivered_flits += u64::from(pkt.len_flits);
-            if let ReceptorDevice::Trace(r) = &mut self.receptors[index] {
-                r.record_latency(lat.network, lat.total);
-            }
+        match completed {
+            Some(pkt) => edge.deliver(self, gp, index, pkt, now),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Whether the stop condition holds.
@@ -1452,23 +1547,29 @@ impl CompiledEngine {
     /// [`crate::engine::Emulation::congestion`] (source-side
     /// accounting) over the flat counter arrays.
     pub fn congestion(&self) -> CongestionCounter {
-        let mut cc = CongestionCounter::new(self.config.topology.link_count());
-        for s in 0..self.low.switch_count {
-            let opb = self.low.out_port_base[s] as usize;
-            for o in 0..self.low.outputs[s] as usize {
-                let gp = opb + o;
-                cc.add(
-                    LinkId::new(self.low.out_link[gp]),
-                    self.blocked_out[gp],
-                    self.forwarded_out[gp],
-                );
-            }
+        self.flat_run(&self.ni_counters()).congestion()
+    }
+
+    /// Per generator: its NI's `(blocked cycles, injected flits)`.
+    pub(crate) fn ni_counters(&self) -> Vec<(u64, u64)> {
+        self.nis
+            .iter()
+            .map(|n| (n.counters().blocked_cycles, n.counters().injected_flits))
+            .collect()
+    }
+
+    /// This engine's flat counters in the shape results are assembled
+    /// from.
+    fn flat_run<'a>(&'a self, ni: &'a [(u64, u64)]) -> FlatRun<'a> {
+        FlatRun {
+            config: &self.config,
+            low: &self.low,
+            injection_links: &self.injection_links,
+            blocked_out: &self.blocked_out,
+            forwarded_out: &self.forwarded_out,
+            max_vc_occ: &self.max_vc_occ,
+            ni,
         }
-        for (i, ni) in self.nis.iter().enumerate() {
-            let c = ni.counters();
-            cc.add(self.injection_links[i], c.blocked_cycles, c.injected_flits);
-        }
-        cc
     }
 
     /// Snapshot of the cumulative per-link counters plus live per-VC
@@ -1476,28 +1577,11 @@ impl CompiledEngine {
     pub(crate) fn cumulative_probe(&self) -> CumulativeProbe {
         let vcs = self.low.num_vcs;
         let mut p = CumulativeProbe::new(self.config.topology.link_count(), vcs);
-        for s in 0..self.low.switch_count {
-            let opb = self.low.out_port_base[s] as usize;
-            for o in 0..self.low.outputs[s] as usize {
-                let gp = opb + o;
-                p.add_link(
-                    LinkId::new(self.low.out_link[gp]),
-                    self.blocked_out[gp],
-                    self.forwarded_out[gp],
-                );
-            }
-            let isb = self.low.in_slot_base[s] as usize;
-            for v in 0..vcs {
-                let mut occ = 0u64;
-                for i in 0..self.low.inputs[s] as usize {
-                    occ += u64::from(self.low.in_state[isb + i * vcs + v].len);
-                }
-                p.add_vc(v, occ);
-            }
+        for (link, blocked, forwarded) in self.flat_run(&self.ni_counters()).links() {
+            p.add_link(link, blocked, forwarded);
         }
-        for (i, ni) in self.nis.iter().enumerate() {
-            let c = ni.counters();
-            p.add_link(self.injection_links[i], c.blocked_cycles, c.injected_flits);
+        for (slot, st) in self.low.in_state.iter().enumerate() {
+            p.add_vc(slot % vcs, u64::from(st.len));
         }
         p
     }
@@ -1600,51 +1684,81 @@ impl CompiledEngine {
             .receptors
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                let (counters, lat, hists) = match r {
-                    ReceptorDevice::Stochastic(r) => (
-                        *r.counters(),
-                        None,
-                        Some((
-                            r.length_histogram().clone(),
-                            r.interarrival_histogram().clone(),
-                        )),
-                    ),
-                    ReceptorDevice::Trace(r) => (*r.counters(), r.network_latency().mean(), None),
-                };
-                let (length_histogram, interarrival_histogram) = match hists {
-                    Some((l, a)) => (Some(l), Some(a)),
-                    None => (None, None),
-                };
-                ReceptorSummary {
-                    label: format!("tr{i}"),
-                    packets: counters.packets,
-                    flits: counters.flits,
-                    running_time: counters.running_time(),
-                    mean_network_latency: lat,
-                    length_histogram,
-                    interarrival_histogram,
-                }
-            })
+            .map(|(i, r)| ReceptorSummary::of(i, r, None))
             .collect();
+        self.flat_run(&self.ni_counters()).results(
+            SteppableEngine::summary(self),
+            self.stalled,
+            receptors,
+        )
+    }
+}
+
+/// A compiled run's flat counters, merged over every slice that
+/// stepped it — the one results assembly both compiled engines share.
+pub(crate) struct FlatRun<'a> {
+    pub(crate) config: &'a PlatformConfig,
+    pub(crate) low: &'a LoweredPlatform,
+    /// Per generator: injection link id.
+    pub(crate) injection_links: &'a [LinkId],
+    /// Per global output port: cycles some input VC waited on it.
+    pub(crate) blocked_out: &'a [u64],
+    /// Per global output port: flits that crossed it.
+    pub(crate) forwarded_out: &'a [u64],
+    /// Per `(switch, vc)`: peak fill of any single FIFO of that VC.
+    pub(crate) max_vc_occ: &'a [u64],
+    /// Per generator: its NI's `(blocked cycles, injected flits)`.
+    pub(crate) ni: &'a [(u64, u64)],
+}
+
+impl FlatRun<'_> {
+    /// Every counted link with its `(blocked, forwarded)` counters:
+    /// each switch output port, then each injection link.
+    fn links(&self) -> impl Iterator<Item = (LinkId, u64, u64)> + '_ {
+        let ports = self.low.out_link.iter().enumerate();
+        ports
+            .map(|(gp, &l)| (LinkId::new(l), self.blocked_out[gp], self.forwarded_out[gp]))
+            .chain(
+                self.injection_links
+                    .iter()
+                    .zip(self.ni)
+                    .map(|(&l, &(blocked, injected))| (l, blocked, injected)),
+            )
+    }
+
+    /// Per-link congestion (source-side accounting).
+    pub(crate) fn congestion(&self) -> CongestionCounter {
+        let mut cc = CongestionCounter::new(self.config.topology.link_count());
+        for (link, blocked, forwarded) in self.links() {
+            cc.add(link, blocked, forwarded);
+        }
+        cc
+    }
+
+    /// Full run results from the run's ledger summary, its stall count
+    /// and its receptor summaries.
+    pub(crate) fn results(
+        &self,
+        summary: EngineSummary,
+        stalled_cycles: u64,
+        receptors: Vec<ReceptorSummary>,
+    ) -> EmulationResults {
         let vcs = self.low.num_vcs;
         let mut vc_occupancy = VcOccupancy::new(vcs);
-        for s in 0..self.low.switch_count {
-            for vc in 0..vcs {
-                vc_occupancy.record(vc, self.max_vc_occ[s * vcs + vc]);
-            }
+        for (i, &peak) in self.max_vc_occ.iter().enumerate() {
+            vc_occupancy.record(i % vcs, peak);
         }
         EmulationResults {
             name: self.config.name.clone(),
-            cycles: self.now.raw(),
-            cycles_skipped: self.cycles_skipped,
-            released: self.ledger.released(),
-            injected: self.ledger.injected(),
-            delivered: self.ledger.delivered(),
-            delivered_flits: self.delivered_flits,
-            stalled_cycles: self.stalled,
-            network_latency: self.ledger.network_latency().clone(),
-            total_latency: self.ledger.total_latency().clone(),
+            cycles: summary.cycles,
+            cycles_skipped: summary.cycles_skipped,
+            released: summary.released,
+            injected: summary.injected,
+            delivered: summary.delivered,
+            delivered_flits: summary.delivered_flits,
+            stalled_cycles,
+            network_latency: summary.network_latency,
+            total_latency: summary.total_latency,
             congestion: self.congestion(),
             vc_occupancy,
             receptors,

@@ -40,7 +40,6 @@ use nocem_stats::receptor::CompletedPacket;
 use nocem_telemetry::{Collector, CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
-use std::time::Instant;
 
 /// A compiled platform ready to emulate.
 pub struct Emulation {
@@ -139,16 +138,6 @@ impl Emulation {
         }
     }
 
-    /// Closes a profiling lap: charges `phase` the time since `*t` and
-    /// chains the next timestamp. No-op (a single `Option` check) when
-    /// profiling is off.
-    #[inline]
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// The current cycle.
     pub fn now(&self) -> Cycle {
         self.now
@@ -211,7 +200,7 @@ impl Emulation {
             self.now += skipped;
             self.cycles_skipped += skipped;
         }
-        self.lap(&mut t, Phase::FastForward);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::FastForward);
         // Telemetry probe: at the start of the cycle, *after* the
         // fast-forward, the cumulative counters reflect exactly the
         // cycles [0, now) — the same prefix every engine sees here, so
@@ -230,7 +219,7 @@ impl Emulation {
                 .expect("presence checked above")
                 .record(at, &probe);
         }
-        self.lap(&mut t, Phase::Probe);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Probe);
         let now = self.now;
         self.started = true;
 
@@ -289,14 +278,9 @@ impl Emulation {
             let accepted = self.elab.nis[i].offer(desc);
             debug_assert!(accepted, "capacity was checked before the offer");
             self.next_packet += 1;
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            self.ledger.release(id, now, req.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
+            PhaseProfiler::nest(&mut self.profiler, Phase::Ledger, || {
+                self.ledger.release(id, now, req.len_flits)
+            })?;
             if let Some(rec) = &mut self.recorder {
                 rec.record(TraceEvent {
                     at: now,
@@ -308,13 +292,13 @@ impl Emulation {
             }
         }
 
-        self.lap(&mut t, Phase::TgTick);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::TgTick);
 
         // 2. All switches decide on start-of-cycle state.
         for sw in &mut self.elab.switches {
             sw.decide();
         }
-        self.lap(&mut t, Phase::Decide);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Decide);
 
         // 3. Network interfaces inject (visible next cycle).
         for i in 0..self.elab.nis.len() {
@@ -323,14 +307,9 @@ impl Emulation {
             };
             let (s, port, link) = self.elab.wiring.injection[i];
             if flit.kind.is_head() {
-                let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-                self.ledger.inject(flit.packet, now)?;
-                if let Some(ls) = ledger_start {
-                    self.profiler
-                        .as_mut()
-                        .expect("timestamp implies profiler")
-                        .nested(ls, Phase::Ledger);
-                }
+                PhaseProfiler::nest(&mut self.profiler, Phase::Ledger, || {
+                    self.ledger.inject(flit.packet, now)
+                })?;
                 if let Some(tr) = &mut self.tracer {
                     tr.record(FlitEvent {
                         cycle: now.raw(),
@@ -348,7 +327,7 @@ impl Emulation {
                 }
             })?;
         }
-        self.lap(&mut t, Phase::NiInject);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::NiInject);
 
         // 4. All switches commit; flits move one hop.
         for s in 0..self.elab.switches.len() {
@@ -392,7 +371,7 @@ impl Emulation {
                 }
             }
         }
-        self.lap(&mut t, Phase::Commit);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Commit);
 
         // Stall watchdog: feed the ledger counters once per stepped
         // cycle; on the trip, capture the wait-for snapshot.
@@ -448,14 +427,9 @@ impl Emulation {
             }
         };
         if let Some(pkt) = completed {
-            let ledger_start = self.profiler.as_ref().map(PhaseProfiler::begin);
-            let lat = self.ledger.deliver(pkt.id, now, pkt.len_flits)?;
-            if let Some(s) = ledger_start {
-                self.profiler
-                    .as_mut()
-                    .expect("timestamp implies profiler")
-                    .nested(s, Phase::Ledger);
-            }
+            let lat = PhaseProfiler::nest(&mut self.profiler, Phase::Ledger, || {
+                self.ledger.deliver(pkt.id, now, pkt.len_flits)
+            })?;
             self.delivered_flits += u64::from(pkt.len_flits);
             if let Some(tr) = &mut self.tracer {
                 tr.record(FlitEvent {

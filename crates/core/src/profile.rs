@@ -238,12 +238,36 @@ impl PhaseProfiler {
         now
     }
 
+    /// [`PhaseProfiler::lap`] on an optional profiler and chain: closes
+    /// `phase` and advances `*t` when both are present. A no-op (one
+    /// `Option` check) when profiling is off — the form every engine's
+    /// step loop calls.
+    #[inline]
+    pub fn lap_chain(profiler: &mut Option<Self>, t: &mut Option<Instant>, phase: Phase) {
+        if let (Some(prev), Some(p)) = (t.as_mut(), profiler.as_mut()) {
+            *prev = p.lap(*prev, phase);
+        }
+    }
+
     /// Charges a nested scope begun at `start` to `phase` and marks
     /// it for subtraction from the enclosing lap.
     pub fn nested(&mut self, start: Instant, phase: Phase) {
         let d = start.elapsed().as_nanos() as u64;
         self.acc[phase as usize] += d;
         self.nested_ns += d;
+    }
+
+    /// Runs `f` as a scope nested in the current lap of an optional
+    /// profiler and charges it to `phase` (see
+    /// [`PhaseProfiler::nested`]); only runs `f` when profiling is off.
+    #[inline]
+    pub(crate) fn nest<T>(profiler: &mut Option<Self>, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let start = profiler.as_ref().map(PhaseProfiler::begin);
+        let out = f();
+        if let (Some(s), Some(p)) = (start, profiler.as_mut()) {
+            p.nested(s, phase);
+        }
+        out
     }
 
     /// Adds raw nanoseconds to `phase` (seeding one-time costs like

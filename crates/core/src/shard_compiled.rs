@@ -6,14 +6,16 @@
 //! partitions the switch graph into `K` shards (a [`Partition`]
 //! implementation from `nocem-topology`; the default is the
 //! grid-stripe partitioner, with index stripes for non-grid
-//! platforms) and steps each shard with the flat-array cycle kernel
-//! of [`CompiledEngine`] on its own persistent worker thread. Each
-//! worker owns a slice of the struct-of-arrays state — the switches
-//! of one [`PartitionMap`] shard, the generators and receptors
-//! attached to them, and a *per-shard flit pool* — and steps only
-//! that slice with the exact compiled decide/commit kernels.
-//! Cross-shard flits leave the sender's pool as real [`Flit`]s and
-//! are re-interned into the receiver's pool on arrival.
+//! platforms) and steps each shard on its own persistent worker
+//! thread. Each worker owns a slice of the struct-of-arrays state —
+//! the switches of one [`PartitionMap`] shard, the generators and
+//! receptors attached to them, and a *per-shard flit pool* — and steps
+//! only that slice with the exact compiled decide/commit kernels: it
+//! calls [`CompiledEngine`]'s own cycle kernel through a shard edge
+//! (`CycleEdge`) whose hooks differ only where an event leaves the
+//! slice. Cross-shard flits leave the sender's
+//! pool as real [`Flit`]s and are re-interned into the receiver's pool
+//! on arrival.
 //!
 //! # The batched-exchange protocol
 //!
@@ -90,22 +92,19 @@
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, SteppableEngine};
 use crate::compile::{
-    elaborate, Elaboration, LoweredInFeed, LoweredOutDest, LoweredPlatform, OutTarget,
-    ReceptorDevice, HANDLE_IDX, HANDLE_TAIL, LOWERED_NONE, SLOT_NONE,
+    elaborate, Elaboration, LoweredOutDest, LoweredPlatform, OutTarget, ReceptorDevice,
 };
-use crate::compiled::CompiledEngine;
+use crate::compiled::{CompiledEngine, CycleEdge, FlatRun};
 use crate::config::{EngineKind, PlatformConfig};
 use crate::error::{CompileError, EmulationError};
 use crate::profile::{Phase, PhaseProfiler, PhaseReport};
 use crate::results::{EmulationResults, ReceptorSummary};
-use nocem_common::flit::{Flit, PacketDescriptor};
-use nocem_common::ids::{LinkId, PacketId, SwitchId, VcId};
+use nocem_common::flit::Flit;
+use nocem_common::ids::{LinkId, PacketId, SwitchId};
 use nocem_common::time::Cycle;
-use nocem_stats::congestion::{CongestionCounter, VcOccupancy};
 use nocem_stats::latency::LatencyAnalyzer;
 use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::CompletedPacket;
-use nocem_switch::switch::CREDITS_INFINITE;
 use nocem_telemetry::{Collector, CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -125,12 +124,9 @@ pub(crate) struct ShardStatus {
     /// Earliest future event over this shard's TGs, evaluated at the
     /// cycle the next step will execute (`u64::MAX` = never).
     pub(crate) next_event: u64,
-    /// All TGs exhausted.
-    pub(crate) exhausted: bool,
-    /// No parked TG request.
-    pub(crate) pending_none: bool,
-    /// Every NI idle.
-    pub(crate) nis_idle: bool,
+    /// The shard's half of the drain stop condition: every TG
+    /// exhausted, no parked TG request, every NI idle.
+    pub(crate) drained: bool,
 }
 
 /// Renders a worker panic as a shard fault the coordinator can return
@@ -192,16 +188,17 @@ struct ReleaseRec {
 }
 
 /// One delivered packet, tagged with the single-threaded commit-order
-/// key (ejecting switch, output port).
+/// key: the ejecting global output port (global ports ascend by
+/// switch, then by local port).
 struct DeliveryRec {
-    switch: u32,
-    port: u8,
+    port: u32,
     receptor: u32,
     prov: PacketId,
     len_flits: u16,
 }
 
 /// Everything the coordinator needs to replay one buffered cycle.
+#[derive(Default)]
 struct CycleEntry {
     releases: Vec<ReleaseRec>,
     injects: Vec<PacketId>,
@@ -211,29 +208,16 @@ struct CycleEntry {
     error: Option<EmulationError>,
 }
 
-impl CycleEntry {
-    fn new() -> Self {
-        CycleEntry {
-            releases: Vec::new(),
-            injects: Vec::new(),
-            deliveries: Vec::new(),
-            stalled_delta: 0,
-            status: conservative_status(),
-            error: None,
-        }
-    }
-}
-
 /// The status a dead or erroring shard reports: never quiescent,
 /// never exhausted, no known next event — gating and stop decisions
 /// stay safe.
-fn conservative_status() -> ShardStatus {
-    ShardStatus {
-        quiescent: false,
-        next_event: u64::MAX,
-        exhausted: false,
-        pending_none: false,
-        nis_idle: false,
+impl Default for ShardStatus {
+    fn default() -> Self {
+        ShardStatus {
+            quiescent: false,
+            next_event: u64::MAX,
+            drained: false,
+        }
     }
 }
 
@@ -259,15 +243,15 @@ enum Cmd {
     Shutdown,
 }
 
-/// Snapshot of a shard's slice for results collection. The per-port
-/// and per-VC arrays are full-platform shaped with non-owned rows
-/// zero, so the coordinator merges by element-wise add / max.
+/// Snapshot of a shard's slice for results collection. The per-port,
+/// per-VC and per-NI arrays are full-platform shaped with non-owned
+/// rows zero, so the coordinator merges by element-wise add / max.
 struct Snapshot {
     blocked_out: Vec<u64>,
     forwarded_out: Vec<u64>,
     max_vc_occ: Vec<u64>,
-    /// `(global generator index, blocked cycles, injected flits)`.
-    ni_counters: Vec<(usize, u64, u64)>,
+    /// Per generator: `(blocked cycles, injected flits)`.
+    ni_counters: Vec<(u64, u64)>,
     /// `(global receptor index, receptor clone)`.
     receptors: Vec<(usize, ReceptorDevice)>,
 }
@@ -295,33 +279,13 @@ enum Report {
 /// only the owned slice is ever stepped. Non-owned rows stay zero,
 /// which makes probes and snapshots mergeable by plain addition.
 struct Worker {
-    shard: usize,
     eng: CompiledEngine,
-    /// Owned global switch ids, ascending.
-    owned: Vec<usize>,
-    /// Per global switch: owned here?
-    own_switch: Vec<bool>,
-    /// Owned global generator indices, ascending.
-    my_gens: Vec<usize>,
+    /// What this worker steps and where its boundary traffic goes.
+    slice: Slice,
     /// Owned global receptor indices, ascending.
     my_receptors: Vec<usize>,
-    /// Per global output slot: owning shard.
-    out_slot_shard: Vec<u16>,
-    /// Per global output port: the shard owning the downstream switch
-    /// (`u16::MAX` when the port feeds a receptor).
-    out_port_dest: Vec<u16>,
-    /// Per global input slot: `cycle + 1` of this slot's most recent
-    /// own pop — the watermark order correction for replayed arrivals.
-    last_pop: Vec<u64>,
-    /// Per shard id: its index in the neighbour lists
-    /// (`usize::MAX` = not a neighbour).
-    nbr_slot: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
     in_rxs: Vec<Receiver<NeighborMsg>>,
-    /// Per out-neighbour: this cycle's buffered records.
-    out_flits: Vec<Vec<FlitRec>>,
-    out_credits: Vec<Vec<u32>>,
-    prov_seq: u64,
     /// A cycle errored or panicked: keep the per-cycle message cadence
     /// (empty sends, discarding receives) so neighbours never block,
     /// but step nothing further.
@@ -334,6 +298,145 @@ struct Worker {
     spans: Option<SpanBuffer>,
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
+}
+
+/// One shard's slice of the platform — the worker's [`CycleEdge`]:
+/// the switches and generators it steps, the ownership tables that
+/// classify each event leaving them, and this cycle's records. Events
+/// inside the slice apply to the worker's engine; the rest become
+/// provisional packet ids and ledger events for the coordinator, and
+/// credits and flits for the neighbour that owns the other end.
+struct Slice {
+    shard: usize,
+    /// Owned global switch ids, ascending.
+    owned: Vec<usize>,
+    /// Owned global generator indices, ascending.
+    my_gens: Vec<usize>,
+    /// Per global output slot: owning shard.
+    out_slot_shard: Vec<u16>,
+    /// Per global output port: the shard owning the downstream switch
+    /// (`u16::MAX` when the port feeds a receptor).
+    out_port_dest: Vec<u16>,
+    /// Per global input slot: `cycle + 1` of this slot's most recent
+    /// own pop — the watermark order correction for replayed arrivals.
+    last_pop: Vec<u64>,
+    /// Per shard id: its index in the neighbour lists
+    /// (`usize::MAX` = not a neighbour).
+    nbr_slot: Vec<usize>,
+    /// Per out-neighbour: this cycle's buffered records.
+    out_flits: Vec<Vec<FlitRec>>,
+    out_credits: Vec<Vec<u32>>,
+    /// This cycle's buffered ledger events for the coordinator.
+    entry: CycleEntry,
+}
+
+impl CycleEdge for Slice {
+    #[inline]
+    fn switch_count(&self, _eng: &CompiledEngine) -> usize {
+        self.owned.len()
+    }
+
+    #[inline]
+    fn switch(&self, k: usize) -> usize {
+        self.owned[k]
+    }
+
+    #[inline]
+    fn generator_count(&self, _eng: &CompiledEngine) -> usize {
+        self.my_gens.len()
+    }
+
+    #[inline]
+    fn generator(&self, k: usize) -> usize {
+        self.my_gens[k]
+    }
+
+    #[inline]
+    fn release(
+        &mut self,
+        eng: &mut CompiledEngine,
+        i: usize,
+        len_flits: u16,
+        _now: Cycle,
+    ) -> Result<PacketId, EmulationError> {
+        let prov = provisional_id(self.shard, eng.next_packet);
+        eng.next_packet += 1;
+        self.entry.releases.push(ReleaseRec {
+            gidx: i as u32,
+            prov,
+            len_flits,
+        });
+        Ok(prov)
+    }
+
+    #[inline]
+    fn inject(
+        &mut self,
+        _eng: &mut CompiledEngine,
+        packet: PacketId,
+        _now: Cycle,
+    ) -> Result<(), EmulationError> {
+        self.entry.injects.push(packet);
+        Ok(())
+    }
+
+    #[inline]
+    fn credit(&mut self, eng: &mut CompiledEngine, up: usize) {
+        let owner = self.out_slot_shard[up] as usize;
+        if owner == self.shard {
+            eng.return_credit(up);
+        } else {
+            self.out_credits[self.nbr_slot[owner]].push(up as u32);
+        }
+    }
+
+    #[inline]
+    fn forward(
+        &mut self,
+        eng: &mut CompiledEngine,
+        from: usize,
+        gp: usize,
+        switch: u32,
+        slot_base: u32,
+        h: u32,
+        vc: usize,
+    ) -> Result<(), EmulationError> {
+        let dest = self.out_port_dest[gp] as usize;
+        if dest == self.shard {
+            return eng.accept_flit(switch as usize, slot_base, h, vc);
+        }
+        self.out_flits[self.nbr_slot[dest]].push(FlitRec {
+            from_switch: from as u32,
+            switch,
+            slot_base,
+            vc: vc as u8,
+            flit: eng.take_flit(h),
+        });
+        Ok(())
+    }
+
+    #[inline]
+    fn deliver(
+        &mut self,
+        _eng: &mut CompiledEngine,
+        gp: usize,
+        receptor: usize,
+        pkt: CompletedPacket,
+        _now: Cycle,
+    ) -> Result<(), EmulationError> {
+        self.entry.deliveries.push(DeliveryRec {
+            port: gp as u32,
+            receptor: receptor as u32,
+            prov: pkt.id,
+            len_flits: pkt.len_flits,
+        });
+        Ok(())
+    }
+
+    #[inline]
+    fn popped(&mut self, islot: usize, now: Cycle) {
+        self.last_pop[islot] = now.raw() + 1;
+    }
 }
 
 impl Worker {
@@ -381,14 +484,6 @@ impl Worker {
         }
     }
 
-    /// Closes `phase` on the chained profiling timestamp, advancing it
-    /// to now. A no-op (one `Option` check) when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Executes one window: per cycle, compute the owned slice, send
     /// one boundary message per neighbour, receive and replay one per
     /// in-neighbour, then record the end-of-cycle status.
@@ -399,24 +494,22 @@ impl Worker {
             let now = Cycle::new(start.raw() + j);
             if self.dead {
                 self.cadence(now);
-                entries.push(CycleEntry::new());
+                entries.push(CycleEntry::default());
                 continue;
             }
             let skip = if j == 0 { skip_from } else { None };
-            let mut entry = CycleEntry::new();
             let mut t = self.profiler.as_mut().map(|p| {
                 p.add_cycles(1);
                 p.begin()
             });
-            let computed = catch_unwind(AssertUnwindSafe(|| {
-                self.compute_cycle(now, skip, &mut entry)
-            }));
+            let computed = catch_unwind(AssertUnwindSafe(|| self.compute_cycle(now, skip)));
+            let mut entry = std::mem::take(&mut self.slice.entry);
             match computed {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => entry.error = Some(e),
-                Err(payload) => entry.error = Some(panic_fault(self.shard, &payload)),
+                Err(payload) => entry.error = Some(panic_fault(self.slice.shard, &payload)),
             }
-            self.lap(&mut t, Phase::WorkerCompute);
+            PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::WorkerCompute);
             // The exchange section: everything from here to the end of
             // replay is boundary synchronization, not compute.
             let exchange_start = t;
@@ -429,7 +522,7 @@ impl Worker {
                 match replayed {
                     Ok(Ok(())) => entry.status = self.status(),
                     Ok(Err(e)) => entry.error = Some(e),
-                    Err(payload) => entry.error = Some(panic_fault(self.shard, &payload)),
+                    Err(payload) => entry.error = Some(panic_fault(self.slice.shard, &payload)),
                 }
             } else {
                 self.recv_discard();
@@ -437,7 +530,7 @@ impl Worker {
             if let (Some(s), Some(buf)) = (replay_start, self.spans.as_mut()) {
                 buf.record("replay", s, now.raw());
             }
-            self.lap(&mut t, Phase::Exchange);
+            PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Exchange);
             if let (Some(s), Some(buf)) = (exchange_start, self.spans.as_mut()) {
                 buf.record("exchange", s, now.raw());
             }
@@ -456,10 +549,10 @@ impl Worker {
     /// discarding receives. Neighbours observe only the absence of
     /// boundary traffic, which is always a legal cycle for them.
     fn cadence(&mut self, now: Cycle) {
-        for buf in &mut self.out_flits {
+        for buf in &mut self.slice.out_flits {
             buf.clear();
         }
-        for buf in &mut self.out_credits {
+        for buf in &mut self.slice.out_credits {
             buf.clear();
         }
         self.send_bufs(now);
@@ -470,8 +563,8 @@ impl Worker {
         for (nb, tx) in self.out_txs.iter().enumerate() {
             let msg = NeighborMsg {
                 cycle: now.raw(),
-                flits: std::mem::take(&mut self.out_flits[nb]),
-                credits: std::mem::take(&mut self.out_credits[nb]),
+                flits: std::mem::take(&mut self.slice.out_flits[nb]),
+                credits: std::mem::take(&mut self.slice.out_credits[nb]),
             };
             // A closed channel means the peer is gone; our own recv
             // will surface the fault.
@@ -485,353 +578,27 @@ impl Worker {
         }
     }
 
-    /// One compiled cycle over the owned slice — the exact phase order
-    /// of [`CompiledEngine::step`], minus gating/telemetry (the
-    /// coordinator's job) and with ledger events buffered instead of
-    /// applied.
+    /// One compiled cycle over the owned slice: replay the
+    /// coordinator's cross-shard fast-forward in the owned TGs, then run
+    /// [`CompiledEngine`]'s cycle kernel through this shard's edge.
     fn compute_cycle(
         &mut self,
         now: Cycle,
         skip_from: Option<Cycle>,
-        entry: &mut CycleEntry,
     ) -> Result<(), EmulationError> {
         if let Some(from) = skip_from {
-            // Replay the coordinator's cross-shard fast-forward in the
-            // owned TGs, exactly like the compiled gated path: sync
-            // any deferred countdown first, then jump the window.
-            for gi in 0..self.my_gens.len() {
-                let i = self.my_gens[gi];
+            // Exactly like the compiled gated path: sync any deferred
+            // countdown first, then jump the window.
+            for &i in &self.slice.my_gens {
                 self.eng.sync_tg(i, from);
                 self.eng.tgs[i].skip_to(from, now);
                 self.eng.tg_synced[i] = now.raw();
                 self.eng.tg_next_event[i] = self.eng.tgs[i].next_event_cycle(now).cycle_or_max();
             }
         }
-
-        // 1. Owned traffic models release packets (provisional ids).
-        for gi in 0..self.my_gens.len() {
-            let i = self.my_gens[gi];
-            let req = match self.eng.pending[i].take() {
-                Some(req) if self.eng.nis[i].can_accept() => {
-                    self.eng.tg_synced[i] = now.raw() + 1;
-                    self.eng.tg_next_event[i] =
-                        self.eng.tgs[i].next_event_cycle(now.next()).cycle_or_max();
-                    req
-                }
-                Some(req) => {
-                    self.eng.pending[i] = Some(req);
-                    entry.stalled_delta += 1;
-                    continue;
-                }
-                None => {
-                    if now.raw() < self.eng.tg_next_event[i] {
-                        continue;
-                    }
-                    self.eng.sync_tg(i, now);
-                    let released = self.eng.tgs[i].tick(now);
-                    self.eng.tg_synced[i] = now.raw() + 1;
-                    self.eng.tg_next_event[i] =
-                        self.eng.tgs[i].next_event_cycle(now.next()).cycle_or_max();
-                    let Some(req) = released else {
-                        continue;
-                    };
-                    if !self.eng.nis[i].can_accept() {
-                        self.eng.pending[i] = Some(req);
-                        entry.stalled_delta += 1;
-                        continue;
-                    }
-                    req
-                }
-            };
-            let prov = provisional_id(self.shard, self.prov_seq);
-            self.prov_seq += 1;
-            let desc = PacketDescriptor {
-                id: prov,
-                src: self.eng.generator_endpoints[i],
-                dst: req.dst,
-                flow: req.flow,
-                len_flits: req.len_flits,
-                release: now,
-            };
-            let accepted = self.eng.nis[i].offer(desc);
-            debug_assert!(accepted, "capacity was checked before the offer");
-            self.eng.ni_active[i] = true;
-            entry.releases.push(ReleaseRec {
-                gidx: i as u32,
-                prov,
-                len_flits: req.len_flits,
-            });
-        }
-
-        // 2. Owned switches decide on start-of-cycle state. Decide has
-        //    no cross-switch effects, so shard order is irrelevant.
-        let vc1 = self.eng.low.num_vcs == 1;
-        for oi in 0..self.owned.len() {
-            let s = self.owned[oi];
-            if self.eng.occ_flits[s] == 0 {
-                self.eng.active[s] = false;
-                continue;
-            }
-            self.eng.active[s] = true;
-            if self.eng.mask_ok[s] {
-                if vc1 {
-                    self.eng.decide_switch_mask_vc1(s);
-                } else {
-                    self.eng.decide_switch_mask(s);
-                }
-            } else {
-                self.eng.decide_switch_dense(s);
-            }
-        }
-
-        // 3. Owned network interfaces inject.
-        for gi in 0..self.my_gens.len() {
-            let i = self.my_gens[gi];
-            if !self.eng.ni_active[i] {
-                continue;
-            }
-            let Some(flit) = self.eng.nis[i].tick_send() else {
-                if self.eng.nis[i].is_idle() {
-                    self.eng.ni_active[i] = false;
-                }
-                continue;
-            };
-            if flit.kind.is_head() {
-                entry.injects.push(flit.packet);
-            }
-            let (sw, base) = (
-                self.eng.low.inject_switch[i],
-                self.eng.low.inject_slot_base[i],
-            );
-            let vc = flit.vc.index();
-            let h = self.eng.intern(flit);
-            self.eng.accept_flit(sw as usize, base, h, vc)?;
-        }
-
-        // 4. Owned decided switches commit, ascending global order —
-        //    the reference order within this shard's slice. The
-        //    cross-shard interleaving is recovered at replay.
-        for oi in 0..self.owned.len() {
-            let s = self.owned[oi];
-            if !self.eng.active[s] {
-                continue;
-            }
-            self.commit_switch(s, now, entry)?;
-        }
-
-        self.eng.now = now.next();
-        Ok(())
-    }
-
-    /// Phase-4 commit of one owned switch: apply VC allocations, then
-    /// pop-and-forward granted flits. One generic body covers the
-    /// mask (any VC count — with one VC, slot == port) and dense
-    /// decide paths; only the remote branches differ from
-    /// [`CompiledEngine`]'s commit.
-    fn commit_switch(
-        &mut self,
-        s: usize,
-        now: Cycle,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        let isb = self.eng.low.in_slot_base[s] as usize;
-        let osb = self.eng.low.out_slot_base[s] as usize;
-        let opb = self.eng.low.out_port_base[s] as usize;
-        if self.eng.mask_ok[s] {
-            let mut vm = self.eng.vcg_mask[s];
-            self.eng.vcg_mask[s] = 0;
-            while vm != 0 {
-                let slot = vm.trailing_zeros() as usize;
-                vm &= vm - 1;
-                let gslot = osb + slot;
-                let iv = self.eng.vc_granted[gslot];
-                self.eng.vc_granted[gslot] = SLOT_NONE;
-                let ist = &mut self.eng.low.in_state[isb + iv as usize];
-                ist.allocated = slot as u16;
-                ist.chosen = SLOT_NONE;
-                self.eng.low.out_state[gslot].busy_with = iv;
-                self.eng.open_worms += 1;
-            }
-            let mut gm = self.eng.grant_mask[s];
-            self.eng.grant_mask[s] = 0;
-            while gm != 0 {
-                let o = gm.trailing_zeros() as usize;
-                gm &= gm - 1;
-                let gp = opb + o;
-                let g = self.eng.granted[gp];
-                self.eng.granted[gp] = LOWERED_NONE;
-                self.pop_forward(s, g, o, now, entry)?;
-            }
-        } else {
-            let vcs = self.eng.low.num_vcs;
-            let outputs = self.eng.low.outputs[s] as usize;
-            for slot in 0..outputs * vcs {
-                let gslot = osb + slot;
-                let iv = self.eng.vc_granted[gslot];
-                if iv == SLOT_NONE {
-                    continue;
-                }
-                self.eng.vc_granted[gslot] = SLOT_NONE;
-                let ist = &mut self.eng.low.in_state[isb + iv as usize];
-                ist.allocated = slot as u16;
-                ist.chosen = SLOT_NONE;
-                self.eng.low.out_state[gslot].busy_with = iv;
-                self.eng.open_worms += 1;
-            }
-            for o in 0..outputs {
-                let gp = opb + o;
-                let g = self.eng.granted[gp];
-                if g == LOWERED_NONE {
-                    continue;
-                }
-                self.eng.granted[gp] = LOWERED_NONE;
-                self.pop_forward(s, g, o, now, entry)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`CompiledEngine`]'s pop-and-forward with the two cross-shard
-    /// branches: a credit owed to a remote upstream becomes a credit
-    /// record, a flit landing on a remote switch leaves the local pool
-    /// and becomes a flit record.
-    fn pop_forward(
-        &mut self,
-        s: usize,
-        g: u32,
-        o: usize,
-        now: Cycle,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        let vcs = self.eng.low.num_vcs;
-        let depth = self.eng.low.fifo_depth;
-        let isb = self.eng.low.in_slot_base[s] as usize;
-        let osb = self.eng.low.out_slot_base[s] as usize;
-        let ipb = self.eng.low.in_port_base[s] as usize;
-        let opb = self.eng.low.out_port_base[s] as usize;
-        let iv = (g >> 8) as usize;
-        let ov = (g & 0xFF) as usize;
-        let islot = isb + iv;
-        let ist = &mut self.eng.low.in_state[islot];
-        debug_assert!(ist.len > 0, "granted input VC has a flit at its head");
-        let head = ist.head as usize;
-        let next = head + 1;
-        ist.head = if next == depth { 0 } else { next } as u8;
-        let left = ist.len - 1;
-        ist.len = left;
-        let h = self.eng.low.fifo_arena[islot * depth + head];
-        let tail = h & HANDLE_TAIL != 0;
-        if tail {
-            ist.allocated = SLOT_NONE;
-        }
-        if left == 0 {
-            self.eng.occ_mask[s] &= !(1 << (iv & 63));
-        }
-        self.eng.occ_flits[s] -= 1;
-        self.eng.total_occ -= 1;
-        self.last_pop[islot] = now.raw() + 1;
-        let gslot = osb + o * vcs + ov;
-        let ost = &mut self.eng.low.out_state[gslot];
-        if ost.credits != CREDITS_INFINITE {
-            ost.credits -= 1;
-            self.eng.credit_debt += 1;
-        }
-        if tail {
-            ost.busy_with = SLOT_NONE;
-            self.eng.open_worms -= 1;
-        }
-        self.eng.forwarded_out[opb + o] += 1;
-        let i = self.eng.iv_port[iv] as usize;
-        let v = iv - i * vcs;
-        match self.eng.low.in_feed[ipb + i] {
-            LoweredInFeed::Switch { slot_base } => {
-                let up = slot_base as usize + v;
-                let owner = self.out_slot_shard[up] as usize;
-                if owner == self.shard {
-                    let ust = &mut self.eng.low.out_state[up];
-                    if ust.credits != CREDITS_INFINITE {
-                        ust.credits += 1;
-                        self.eng.credit_debt -= 1;
-                        debug_assert!(
-                            ust.credits <= self.eng.low.credit_cap[up],
-                            "credit overflow on a lowered output slot"
-                        );
-                    }
-                } else {
-                    self.out_credits[self.nbr_slot[owner]].push(up as u32);
-                }
-            }
-            LoweredInFeed::Generator { index } => {
-                self.eng.nis[index as usize].credit_return();
-            }
-        }
-        match self.eng.low.out_dest[opb + o] {
-            LoweredOutDest::Switch { switch, slot_base } => {
-                if self.own_switch[switch as usize] {
-                    self.eng.accept_flit(switch as usize, slot_base, h, ov)?;
-                } else {
-                    let idx = h & HANDLE_IDX;
-                    let flit = self.eng.flit_pool[idx as usize];
-                    self.eng.flit_free.push(idx);
-                    let dest = self.out_port_dest[opb + o] as usize;
-                    self.out_flits[self.nbr_slot[dest]].push(FlitRec {
-                        from_switch: s as u32,
-                        switch,
-                        slot_base,
-                        vc: ov as u8,
-                        flit,
-                    });
-                }
-            }
-            LoweredOutDest::Receptor { index } => {
-                self.deliver(index as usize, h, ov, s, o, now, entry)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`CompiledEngine`]'s delivery with the ledger call replaced by
-    /// a buffered record carrying the commit-order key.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        index: usize,
-        h: u32,
-        vc: usize,
-        s: usize,
-        o: usize,
-        now: Cycle,
-        entry: &mut CycleEntry,
-    ) -> Result<(), EmulationError> {
-        let idx = h & HANDLE_IDX;
-        let mut flit = self.eng.flit_pool[idx as usize];
-        flit.vc = VcId::new(vc as u8);
-        self.eng.flit_free.push(idx);
-        let completed: Option<CompletedPacket> = match &mut self.eng.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-        };
-        if let Some(pkt) = completed {
-            entry.deliveries.push(DeliveryRec {
-                switch: s as u32,
-                port: o as u8,
-                receptor: index as u32,
-                prov: pkt.id,
-                len_flits: pkt.len_flits,
-            });
-        }
+        let stalled = self.eng.stalled;
+        self.eng.cycle(now, &mut self.slice, &mut None)?;
+        self.slice.entry.stalled_delta = self.eng.stalled - stalled;
         Ok(())
     }
 
@@ -842,7 +609,7 @@ impl Worker {
         let vcs = self.eng.low.num_vcs;
         for k in 0..self.in_rxs.len() {
             let msg = self.in_rxs[k].recv().map_err(|_| EmulationError::Shard {
-                shard: self.shard,
+                shard: self.slice.shard,
                 reason: "a neighbour shard hung up mid-window".into(),
             })?;
             debug_assert_eq!(
@@ -852,7 +619,7 @@ impl Worker {
             );
             for rec in msg.flits {
                 let slot = rec.slot_base as usize + rec.vc as usize;
-                let popped_here = self.last_pop[slot] == now.raw() + 1;
+                let popped_here = self.slice.last_pop[slot] == now.raw() + 1;
                 let h = self.eng.intern(rec.flit);
                 self.eng
                     .accept_flit(rec.switch as usize, rec.slot_base, h, rec.vc as usize)?;
@@ -869,16 +636,7 @@ impl Worker {
                 }
             }
             for up in msg.credits {
-                let up = up as usize;
-                let ust = &mut self.eng.low.out_state[up];
-                if ust.credits != CREDITS_INFINITE {
-                    ust.credits += 1;
-                    self.eng.credit_debt -= 1;
-                    debug_assert!(
-                        ust.credits <= self.eng.low.credit_cap[up],
-                        "credit overflow on a lowered output slot"
-                    );
-                }
+                self.eng.return_credit(up as usize);
             }
         }
         Ok(())
@@ -886,27 +644,25 @@ impl Worker {
 
     /// End-of-cycle status over the owned slice. The aggregate
     /// counters (`total_occ`, `open_worms`, `credit_debt`) only ever
-    /// reflect owned rows, so they are exactly the shard-local half of
-    /// the platform quiescence predicate.
+    /// reflect owned rows; checking them first lets a busy shard answer
+    /// without scanning its generators.
     fn status(&self) -> ShardStatus {
-        let pending_none = self.my_gens.iter().all(|&i| self.eng.pending[i].is_none());
-        let nis_idle = self.my_gens.iter().all(|&i| self.eng.nis[i].is_idle());
+        let (eng, gens) = (&self.eng, &self.slice.my_gens);
         ShardStatus {
-            quiescent: pending_none
-                && nis_idle
-                && self.my_gens.iter().all(|&i| self.eng.nis[i].credits_home())
-                && self.eng.total_occ == 0
-                && self.eng.open_worms == 0
-                && self.eng.credit_debt == 0,
-            next_event: self
-                .my_gens
+            quiescent: eng.total_occ == 0
+                && eng.open_worms == 0
+                && eng.credit_debt == 0
+                && gens.iter().all(|&i| {
+                    eng.pending[i].is_none() && eng.nis[i].is_idle() && eng.nis[i].credits_home()
+                }),
+            next_event: gens
                 .iter()
-                .map(|&i| self.eng.tg_next_event[i])
+                .map(|&i| eng.tg_next_event[i])
                 .min()
                 .unwrap_or(u64::MAX),
-            exhausted: self.my_gens.iter().all(|&i| self.eng.tgs[i].is_exhausted()),
-            pending_none,
-            nis_idle,
+            drained: gens.iter().all(|&i| {
+                eng.tgs[i].is_exhausted() && eng.pending[i].is_none() && eng.nis[i].is_idle()
+            }),
         }
     }
 
@@ -915,14 +671,7 @@ impl Worker {
             blocked_out: self.eng.blocked_out.clone(),
             forwarded_out: self.eng.forwarded_out.clone(),
             max_vc_occ: self.eng.max_vc_occ.clone(),
-            ni_counters: self
-                .my_gens
-                .iter()
-                .map(|&i| {
-                    let c = self.eng.nis[i].counters();
-                    (i, c.blocked_cycles, c.injected_flits)
-                })
-                .collect(),
+            ni_counters: self.eng.ni_counters(),
             receptors: self
                 .my_receptors
                 .iter()
@@ -1099,9 +848,9 @@ impl ShardedCompiledEngine {
                         .map(|&i| elab.tgs[i].next_event_cycle(Cycle::ZERO).cycle_or_max())
                         .min()
                         .unwrap_or(u64::MAX),
-                    exhausted: my_gens.iter().all(|&i| elab.tgs[i].is_exhausted()),
-                    pending_none: true,
-                    nis_idle: my_gens.iter().all(|&i| elab.nis[i].is_idle()),
+                    drained: my_gens
+                        .iter()
+                        .all(|&i| elab.tgs[i].is_exhausted() && elab.nis[i].is_idle()),
                 }
             })
             .collect();
@@ -1309,16 +1058,8 @@ impl ShardedCompiledEngine {
             }
         }
         let r = self.apply_cycle();
-        self.lap(&mut t, Phase::Apply);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Apply);
         r
-    }
-
-    /// Closes `phase` on the chained profiling timestamp, advancing it
-    /// to now. A no-op (one `Option` check) when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
     }
 
     /// Gates, probes, sizes and issues one window, then buffers every
@@ -1342,7 +1083,7 @@ impl ShardedCompiledEngine {
                 self.now = Cycle::new(target);
             }
         }
-        self.lap(t, Phase::FastForward);
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::FastForward);
         if self
             .telemetry
             .as_ref()
@@ -1355,7 +1096,7 @@ impl ShardedCompiledEngine {
                 .expect("presence checked above")
                 .record(at, &probe);
         }
-        self.lap(t, Phase::Probe);
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::Probe);
         let start = self.now;
         let len = self.window_len(start);
         for k in 0..self.workers.len() {
@@ -1387,7 +1128,7 @@ impl ShardedCompiledEngine {
             }
         }
         self.window.extend(rows);
-        self.lap(t, Phase::CoordWait);
+        PhaseProfiler::lap_chain(&mut self.profiler, t, Phase::CoordWait);
         Ok(())
     }
 
@@ -1474,7 +1215,7 @@ impl ShardedCompiledEngine {
                 .inject(id, now)
                 .map_err(|e| self.fail(e.into()))?;
         }
-        deliveries.sort_by_key(|d| (d.switch, d.port));
+        deliveries.sort_by_key(|d| d.port);
         for d in deliveries {
             let id = self
                 .prov_map
@@ -1588,12 +1329,7 @@ impl ShardedCompiledEngine {
     pub fn finished(&self) -> bool {
         match self.config.stop.delivered_packets {
             Some(target) => self.ledger.delivered() >= target,
-            None => {
-                self.status
-                    .iter()
-                    .all(|s| s.exhausted && s.pending_none && s.nis_idle)
-                    && self.ledger.in_flight() == 0
-            }
+            None => self.status.iter().all(|s| s.drained) && self.ledger.in_flight() == 0,
         }
     }
 
@@ -1620,8 +1356,8 @@ impl ShardedCompiledEngine {
         let mut blocked = vec![0u64; total_out_ports];
         let mut forwarded = vec![0u64; total_out_ports];
         let mut max_vc = vec![0u64; self.low.switch_count * vcs];
-        let mut ni_counters: Vec<Option<(u64, u64)>> = vec![None; self.injection_links.len()];
-        let mut receptors: Vec<Option<ReceptorSummary>> = vec![None; self.receptor_latency.len()];
+        let mut ni = vec![(0u64, 0u64); self.injection_links.len()];
+        let mut receptors: Vec<Option<ReceptorDevice>> = vec![None; self.receptor_latency.len()];
         for k in 0..self.workers.len() {
             if self.workers[k].cmd.send(Cmd::Collect).is_err() {
                 return self.worker_died(k).map(|()| unreachable!());
@@ -1639,78 +1375,31 @@ impl ShardedCompiledEngine {
             for (acc, v) in max_vc.iter_mut().zip(&snap.max_vc_occ) {
                 *acc = (*acc).max(*v);
             }
-            for (gidx, b, f) in snap.ni_counters {
-                ni_counters[gidx] = Some((b, f));
+            for (acc, v) in ni.iter_mut().zip(&snap.ni_counters) {
+                *acc = (acc.0 + v.0, acc.1 + v.1);
             }
             for (gidx, r) in snap.receptors {
-                let (counters, lat, hists) = match &r {
-                    ReceptorDevice::Stochastic(r) => (
-                        *r.counters(),
-                        None,
-                        Some((
-                            r.length_histogram().clone(),
-                            r.interarrival_histogram().clone(),
-                        )),
-                    ),
-                    ReceptorDevice::Trace(r) => {
-                        (*r.counters(), self.receptor_latency[gidx].mean(), None)
-                    }
-                };
-                let (length_histogram, interarrival_histogram) = match hists {
-                    Some((l, a)) => (Some(l), Some(a)),
-                    None => (None, None),
-                };
-                receptors[gidx] = Some(ReceptorSummary {
-                    label: format!("tr{gidx}"),
-                    packets: counters.packets,
-                    flits: counters.flits,
-                    running_time: counters.running_time(),
-                    mean_network_latency: lat,
-                    length_histogram,
-                    interarrival_histogram,
-                });
+                receptors[gidx] = Some(r);
             }
         }
-        let mut cc = CongestionCounter::new(self.config.topology.link_count());
-        for s in 0..self.low.switch_count {
-            let opb = self.low.out_port_base[s] as usize;
-            for o in 0..self.low.outputs[s] as usize {
-                let gp = opb + o;
-                cc.add(
-                    LinkId::new(self.low.out_link[gp]),
-                    blocked[gp],
-                    forwarded[gp],
-                );
-            }
-        }
-        for (i, link) in self.injection_links.iter().enumerate() {
-            let (b, f) = ni_counters[i].expect("every NI snapshotted by its shard");
-            cc.add(*link, b, f);
-        }
-        let mut vc_occupancy = VcOccupancy::new(vcs);
-        for s in 0..self.low.switch_count {
-            for vc in 0..vcs {
-                vc_occupancy.record(vc, max_vc[s * vcs + vc]);
-            }
-        }
-        Ok(EmulationResults {
-            name: self.config.name.clone(),
-            cycles: self.now.raw(),
-            cycles_skipped: self.cycles_skipped,
-            released: self.ledger.released(),
-            injected: self.ledger.injected(),
-            delivered: self.ledger.delivered(),
-            delivered_flits: self.delivered_flits,
-            stalled_cycles: self.stalled,
-            network_latency: self.ledger.network_latency().clone(),
-            total_latency: self.ledger.total_latency().clone(),
-            congestion: cc,
-            vc_occupancy,
-            receptors: receptors
-                .into_iter()
-                .map(|r| r.expect("every receptor snapshotted by its shard"))
-                .collect(),
-        })
+        let receptors = receptors
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let r = r.as_ref().expect("every receptor snapshotted by its shard");
+                ReceptorSummary::of(i, r, Some(&self.receptor_latency[i]))
+            })
+            .collect();
+        let run = FlatRun {
+            config: &self.config,
+            low: &self.low,
+            injection_links: &self.injection_links,
+            blocked_out: &blocked,
+            forwarded_out: &forwarded,
+            max_vc_occ: &max_vc,
+            ni: &ni,
+        };
+        Ok(run.results(SteppableEngine::summary(self), self.stalled, receptors))
     }
 }
 
@@ -1877,21 +1566,22 @@ fn spawn_worker(
     let out_flits = nbr_list.iter().map(|_| Vec::new()).collect();
     let out_credits = nbr_list.iter().map(|_| Vec::new()).collect();
     Worker {
-        shard,
         eng,
-        owned,
-        own_switch,
-        my_gens,
+        slice: Slice {
+            shard,
+            owned,
+            my_gens,
+            out_slot_shard,
+            out_port_dest,
+            last_pop,
+            nbr_slot,
+            out_flits,
+            out_credits,
+            entry: CycleEntry::default(),
+        },
         my_receptors,
-        out_slot_shard,
-        out_port_dest,
-        last_pop,
-        nbr_slot,
         out_txs,
         in_rxs,
-        out_flits,
-        out_credits,
-        prov_seq: 0,
         dead: false,
         profiler,
         spans,

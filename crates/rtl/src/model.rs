@@ -30,7 +30,6 @@ use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
 struct SharedState {
     switches: Vec<Switch>,
@@ -385,14 +384,6 @@ impl RtlEngine {
         }
     }
 
-    /// Closes the lap started at `*t`, charging it to `phase`, and
-    /// restarts the chain. No-op when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Cumulative counters at the current instant, shaped exactly
     /// like the fast engine's probe: per-link lifetime blocked /
     /// forwarded (source-side accounting) plus live per-VC occupancy
@@ -494,7 +485,7 @@ impl RtlEngine {
         if self.clock_mode == ClockMode::Gated {
             self.try_fast_forward();
         }
-        self.lap(&mut t, Phase::FastForward);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::FastForward);
         // Probe after any fast-forward, before executing the cycle:
         // the counters then cover exactly [0, now), matching every
         // other engine's probe point.
@@ -510,9 +501,9 @@ impl RtlEngine {
                 .expect("presence checked above")
                 .record(at, &probe);
         }
-        self.lap(&mut t, Phase::Probe);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Probe);
         let cycled = self.kernel.cycle();
-        self.lap(&mut t, Phase::Processes);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Processes);
         cycled.map_err(|e| {
             EmulationError::Bus(nocem_platform::bus::BusError::InvalidValue {
                 addr: nocem_platform::addr::Address::from_parts(

@@ -23,7 +23,6 @@ use nocem_traffic::generator::{PacketRequest, TrafficGenerator};
 use nocem_traffic::ni::SourceNi;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Instant;
 
 struct SharedState {
     switches: Vec<Switch>,
@@ -360,14 +359,6 @@ impl TlmEngine {
         }
     }
 
-    /// Closes the lap started at `*t`, charging it to `phase`, and
-    /// restarts the chain. No-op when profiling is off.
-    fn lap(&mut self, t: &mut Option<Instant>, phase: Phase) {
-        if let (Some(prev), Some(p)) = (t.as_mut(), self.profiler.as_mut()) {
-            *prev = p.lap(*prev, phase);
-        }
-    }
-
     /// Cumulative counters at the current instant, shaped exactly
     /// like the fast engine's probe: per-link lifetime blocked /
     /// forwarded (source-side accounting) plus live per-VC occupancy
@@ -468,7 +459,7 @@ impl TlmEngine {
         if self.clock_mode == ClockMode::Gated {
             self.try_fast_forward();
         }
-        self.lap(&mut t, Phase::FastForward);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::FastForward);
         // Probe after any fast-forward, before executing the cycle:
         // the counters then cover exactly [0, now), matching every
         // other engine's probe point.
@@ -484,9 +475,9 @@ impl TlmEngine {
                 .expect("presence checked above")
                 .record(at, &probe);
         }
-        self.lap(&mut t, Phase::Probe);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Probe);
         self.scheduler.cycle();
-        self.lap(&mut t, Phase::Processes);
+        PhaseProfiler::lap_chain(&mut self.profiler, &mut t, Phase::Processes);
         if let Some(e) = self.shared.borrow().error.clone() {
             return Err(e);
         }

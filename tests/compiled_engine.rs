@@ -11,12 +11,13 @@
 
 use nocem::clock::{ClockMode, SteppableEngine};
 use nocem::compile::elaborate;
-use nocem::config::{EngineKind, PlatformConfig};
+use nocem::config::{EngineKind, PlatformConfig, TrafficModel};
 use nocem::engine::build;
 use nocem::sweep::AnyEngine;
 use nocem::CompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
+use nocem_traffic::generator::DestinationModel;
 
 /// A uniform-random scenario config on `topo` at `load` (meshes on XY
 /// routing with one VC, tori on 2-VC dateline torus-XY — so the torus
@@ -166,18 +167,44 @@ fn gated_saturating_load_is_ledger_identical() {
     }
 }
 
+/// `PlatformConfig::baseline` on star(`leaves`) with generator *i*
+/// sending to receptor *(i + 1) mod n*, so every flow crosses the hub.
+fn cross_hub_star(leaves: u32, packets: u64) -> PlatformConfig {
+    let topology = nocem_topology::builders::star(leaves).unwrap();
+    let receptors = topology.receptors();
+    let mut cfg = PlatformConfig::baseline(format!("star{leaves}-cross-hub"), topology).unwrap();
+    for (i, (flow, model)) in cfg.flows.iter_mut().zip(&mut cfg.generators).enumerate() {
+        flow.dst = receptors[(i + 1) % receptors.len()];
+        let TrafficModel::Uniform(uniform) = model else {
+            unreachable!("the baseline generators are uniform")
+        };
+        uniform.destination = DestinationModel::Fixed {
+            dst: flow.dst,
+            flow: flow.flow,
+        };
+    }
+    cfg.stop.delivered_packets = Some(packets);
+    cfg
+}
+
 /// Regression for heterogeneous port counts: a star's hub switch has
 /// `leaves` ports while every leaf has two, so any lowering that sizes
 /// its arrays from a single uniform port count (or from the config
 /// instead of the elaboration) indexes out of bounds or corrupts
-/// neighbouring slots. The prefix-sum arena must handle the mix.
+/// neighbouring slots. The prefix-sum arena must handle the mix. The
+/// baseline pairs each generator with the receptor on its own leaf;
+/// the cross-hub inputs route every flit through the hub, and the
+/// star(70) hub's 70 input slots exceed the 64-bit masks, so it runs
+/// the dense decide and commit.
 #[test]
 fn star_heterogeneous_ports_run_compiled_without_index_errors() {
     let topology = nocem_topology::builders::star(6).unwrap();
     let mut cfg = PlatformConfig::baseline("star6-compiled", topology).unwrap();
     cfg.stop.delivered_packets = Some(240);
-    assert_compiled_lockstep(&cfg);
-    assert_compiled_lockstep(&with_mode(&cfg, ClockMode::Gated));
+    for cfg in [cfg, cross_hub_star(6, 240), cross_hub_star(70, 1400)] {
+        assert_compiled_lockstep(&cfg);
+        assert_compiled_lockstep(&with_mode(&cfg, ClockMode::Gated));
+    }
 }
 
 #[test]

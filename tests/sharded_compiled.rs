@@ -19,7 +19,7 @@
 use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
 use nocem::compile::elaborate;
 use nocem::compiled::CompiledEngine;
-use nocem::config::{EngineKind, PaperConfig};
+use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
 use nocem::engine::{build, Emulation};
 use nocem::error::CompileError;
 use nocem::shard_compiled::ShardedCompiledEngine;
@@ -27,6 +27,7 @@ use nocem::sweep::AnyEngine;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
 use nocem_topology::partition::PartitionMap;
+use nocem_traffic::generator::DestinationModel;
 use proptest::prelude::*;
 
 mod common;
@@ -199,6 +200,34 @@ fn engine_kind_round_trips_through_the_generic_builder() {
 fn paper_platform_index_stripes_match_emulation() {
     let cfg = PaperConfig::new().total_packets(300).uniform();
     assert_lockstep(&cfg, &[(2, 1), (2, 16)]);
+}
+
+/// `PlatformConfig::baseline` on star(`leaves`) with generator *i*
+/// sending to receptor *(i + 1) mod n*, so every flow crosses the hub.
+fn cross_hub_star(leaves: u32, packets: u64) -> PlatformConfig {
+    let topology = nocem_topology::builders::star(leaves).unwrap();
+    let receptors = topology.receptors();
+    let mut cfg = PlatformConfig::baseline(format!("star{leaves}-cross-hub"), topology).unwrap();
+    for (i, (flow, model)) in cfg.flows.iter_mut().zip(&mut cfg.generators).enumerate() {
+        flow.dst = receptors[(i + 1) % receptors.len()];
+        let TrafficModel::Uniform(uniform) = model else {
+            unreachable!("the baseline generators are uniform")
+        };
+        uniform.destination = DestinationModel::Fixed {
+            dst: flow.dst,
+            flow: flow.flow,
+        };
+    }
+    cfg.stop.delivered_packets = Some(packets);
+    cfg
+}
+
+/// The star(70) hub has 70 input slots, more than the 64-bit masks
+/// hold, so the worker that owns it steps it with the dense decide and
+/// commit; every flow crosses the hub and most cross a shard boundary.
+#[test]
+fn cross_hub_star70_runs_the_dense_hub_on_a_worker() {
+    assert_lockstep(&cross_hub_star(70, 1400), &[(2, 1), (2, 16)]);
 }
 
 /// One shard is the whole platform: no boundary links, same ledger.
