@@ -6,39 +6,57 @@
 //! construction. Our substitute reports (a) the estimated clock of the
 //! synthesized platform (the FPGA-equivalent emulation speed) and (b)
 //! the measured speed of this reproduction's software engines:
-//! the fast emulation engine, the SystemC-analog TLM engine and the
-//! ModelSim-analog RTL engine — all executing cycle-identical work.
+//! the compiled engine, the fast emulation engine, the SystemC-analog
+//! TLM engine and the ModelSim-analog RTL engine — all executing
+//! cycle-identical work.
 //!
 //! ```text
 //! cargo run --release -p nocem-bench --bin table2_speed
 //! ```
 
+use nocem::compile::elaborate;
+use nocem::compiled::CompiledEngine;
 use nocem::config::PaperConfig;
+use nocem::engine::build;
 use nocem::flow::synthesize;
 use nocem_area::fpga::XC2VP20;
 use nocem_bench::{
-    measure_emulation_speed, measure_rtl_speed, measure_tlm_speed, quick_mode,
-    PAPER_CYCLES_PER_PACKET, PAPER_TABLE2,
+    endless_paper_config, measure_speed, quick_mode, PAPER_CYCLES_PER_PACKET, PAPER_TABLE2,
 };
 use nocem_common::csv::CsvWriter;
 use nocem_common::table::{Align, TextTable};
 use nocem_common::time::{format_duration, format_speed};
+use nocem_rtl::RtlEngine;
+use nocem_tlm::TlmEngine;
 
 fn main() {
     let budget = if quick_mode() { 0.3 } else { 2.0 };
 
     // FPGA-equivalent speed: the estimated platform clock.
     let cfg = PaperConfig::new().uniform();
-    let elab = nocem::compile::elaborate(&cfg).expect("paper config compiles");
+    let elab = elaborate(&cfg).expect("paper config compiles");
     let clock_hz = synthesize(&elab, XC2VP20).clock_mhz() * 1e6;
 
     println!("measuring engine speeds ({budget:.1}s per engine)...");
-    let emu = measure_emulation_speed(budget).expect("emulation measurement");
-    let tlm = measure_tlm_speed(budget).expect("tlm measurement");
-    let rtl = measure_rtl_speed(budget).expect("rtl measurement");
+    let endless = endless_paper_config();
+    let elab = || elaborate(&endless).expect("paper config compiles");
+    let compiled = measure_speed(&mut CompiledEngine::new(elab()), 50_000, budget)
+        .expect("compiled measurement");
+    let emu = measure_speed(
+        &mut build(&endless).expect("paper config compiles"),
+        50_000,
+        budget,
+    )
+    .expect("emulation measurement");
+    let tlm = measure_speed(&mut TlmEngine::new(elab()), 20_000, budget).expect("tlm measurement");
+    let rtl = measure_speed(&mut RtlEngine::new(elab()), 10_000, budget).expect("rtl measurement");
 
     let rows: Vec<(&str, f64)> = vec![
         ("FPGA emulation (estimated clock)", clock_hz),
+        (
+            "This reproduction: compiled engine",
+            compiled.cycles_per_second,
+        ),
         ("This reproduction: fast engine", emu.cycles_per_second),
         (
             "This reproduction: TLM (SystemC analog)",
@@ -102,7 +120,8 @@ fn main() {
         clock_hz / rtl.cycles_per_second
     );
     println!(
-        "engine ordering: fast {:.2} M > TLM {:.2} M > RTL {:.2} M cycles/s",
+        "engine ordering: compiled {:.2} M, fast {:.2} M > TLM {:.2} M > RTL {:.2} M cycles/s",
+        compiled.cycles_per_second / 1e6,
         emu.cycles_per_second / 1e6,
         tlm.cycles_per_second / 1e6,
         rtl.cycles_per_second / 1e6

@@ -9,8 +9,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use nocem::clock::SteppableEngine;
 use nocem::config::{PaperConfig, PlatformConfig, TrafficModel};
-use nocem::engine::build;
 use nocem::error::EmulationError;
 use nocem_rtl::model::RtlEngine;
 use nocem_tlm::model::TlmEngine;
@@ -92,25 +92,30 @@ pub struct MeasuredSpeed {
     pub seconds: f64,
 }
 
-fn measure<S>(
-    mut step: S,
-    min_cycles: u64,
+/// Measures one engine's simulation speed: steps it for a warm-up of
+/// `chunk / 10` cycles, then in chunks of `chunk` cycles until
+/// `min_seconds` of wall time have passed. Size `chunk` so one chunk
+/// takes a small fraction of `min_seconds` on that engine.
+///
+/// # Errors
+///
+/// Propagates engine faults (which a correct build never produces).
+pub fn measure_speed<E: SteppableEngine>(
+    engine: &mut E,
+    chunk: u64,
     min_seconds: f64,
-) -> Result<MeasuredSpeed, EmulationError>
-where
-    S: FnMut() -> Result<(), EmulationError>,
-{
+) -> Result<MeasuredSpeed, EmulationError> {
     // Warm up caches and branch predictors.
-    for _ in 0..min_cycles / 10 {
-        step()?;
+    for _ in 0..chunk / 10 {
+        engine.step()?;
     }
     let t0 = Instant::now();
     let mut cycles = 0u64;
     loop {
-        for _ in 0..min_cycles {
-            step()?;
+        for _ in 0..chunk {
+            engine.step()?;
         }
-        cycles += min_cycles;
+        cycles += chunk;
         if t0.elapsed().as_secs_f64() >= min_seconds {
             break;
         }
@@ -121,38 +126,6 @@ where
         cycles,
         seconds,
     })
-}
-
-/// Measures the fast emulation engine on the endless paper platform.
-///
-/// # Errors
-///
-/// Propagates engine faults (which a correct build never produces).
-pub fn measure_emulation_speed(min_seconds: f64) -> Result<MeasuredSpeed, EmulationError> {
-    let mut emu = build(&endless_paper_config()).expect("paper config compiles");
-    measure(|| emu.step(), 50_000, min_seconds)
-}
-
-/// Measures the TLM (SystemC-analog) engine.
-///
-/// # Errors
-///
-/// Propagates engine faults.
-pub fn measure_tlm_speed(min_seconds: f64) -> Result<MeasuredSpeed, EmulationError> {
-    let elab = nocem::compile::elaborate(&endless_paper_config()).expect("config compiles");
-    let mut engine = TlmEngine::new(elab);
-    measure(|| engine.step(), 20_000, min_seconds)
-}
-
-/// Measures the RTL (ModelSim-analog) engine.
-///
-/// # Errors
-///
-/// Propagates engine faults.
-pub fn measure_rtl_speed(min_seconds: f64) -> Result<MeasuredSpeed, EmulationError> {
-    let elab = nocem::compile::elaborate(&endless_paper_config()).expect("config compiles");
-    let mut engine = RtlEngine::new(elab);
-    measure(|| engine.step(), 10_000, min_seconds)
 }
 
 /// Per-cycle work of each engine on identical traffic — the
@@ -196,14 +169,14 @@ pub fn measure_work_per_cycle(cycles: u64) -> Result<EngineWorkPerCycle, Emulati
     for _ in 0..cycles {
         tlm.step()?;
     }
-    let s = tlm.summary().scheduler;
+    let s = tlm.kernel_stats();
     let tlm_work = (s.activations + s.channel_updates + s.watcher_calls) as f64 / cycles as f64;
 
     let mut rtl = RtlEngine::new(nocem::compile::elaborate(&cfg).expect("paper config compiles"));
     for _ in 0..cycles {
         rtl.step()?;
     }
-    let k = rtl.summary().kernel;
+    let k = rtl.kernel_stats();
     let rtl_work = (k.activations + k.signal_events + k.delta_cycles) as f64 / cycles as f64;
 
     Ok(EngineWorkPerCycle {
@@ -230,6 +203,7 @@ pub fn save_csv(name: &str, content: &str) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocem::engine::build;
 
     #[test]
     fn endless_config_never_exhausts() {
@@ -244,7 +218,8 @@ mod tests {
 
     #[test]
     fn speed_measurement_is_positive() {
-        let s = measure_emulation_speed(0.05).unwrap();
+        let mut emu = build(&endless_paper_config()).unwrap();
+        let s = measure_speed(&mut emu, 50_000, 0.05).unwrap();
         assert!(s.cycles_per_second > 10_000.0, "{s:?}");
         assert!(s.cycles > 0);
     }
@@ -277,6 +252,16 @@ mod tests {
         assert_eq!(a.emulation, b.emulation);
         assert_eq!(a.tlm, b.tlm);
         assert_eq!(a.rtl, b.rtl);
+    }
+
+    #[test]
+    fn work_per_cycle_matches_the_pinned_counts() {
+        // Exact binary fractions of the kernels' integer operation
+        // counts over 4096 cycles: any change to process order,
+        // signal wiring or kernel scheduling moves them.
+        let w = measure_work_per_cycle(4_096).unwrap();
+        assert_eq!(w.tlm, 19.966796875);
+        assert_eq!(w.rtl, 20.968017578125);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! flit.
 
 use crate::config::{PlatformConfig, RoutingSpec, TrafficModel};
-use crate::error::CompileError;
+use crate::error::{CompileError, EmulationError};
+use nocem_common::flit::Flit;
 use nocem_common::ids::{EndpointId, LinkId, PortId, VcId};
 use nocem_common::rng::{Lfsr16, SplitMix64};
 use nocem_common::route::{RouteHop, RouteKey};
+use nocem_common::time::Cycle;
 use nocem_platform::bus::{AddressMap, DeviceClass};
-use nocem_stats::receptor::{StochasticReceptor, TraceReceptor};
+use nocem_stats::receptor::{CompletedPacket, StochasticReceptor, TraceReceptor};
 use nocem_stats::TrKind;
 use nocem_switch::arbiter::ArbiterKind;
 use nocem_switch::config::{SelectionPolicy, SwitchConfigBuilder};
@@ -108,6 +110,29 @@ impl ReceptorDevice {
             ReceptorDevice::Stochastic(r) => r.id(),
             ReceptorDevice::Trace(r) => r.id(),
         }
+    }
+
+    /// Accepts one ejected flit; returns the packet it completes, if
+    /// any.
+    ///
+    /// # Errors
+    ///
+    /// [`EmulationError::Receive`] when the flit violates the
+    /// receptor's protocol checks.
+    #[inline]
+    pub fn accept(
+        &mut self,
+        flit: &Flit,
+        now: Cycle,
+    ) -> Result<Option<CompletedPacket>, EmulationError> {
+        let accepted = match self {
+            ReceptorDevice::Stochastic(r) => r.accept(flit, now),
+            ReceptorDevice::Trace(r) => r.accept(flit, now),
+        };
+        accepted.map_err(|source| EmulationError::Receive {
+            receptor: self.id(),
+            source,
+        })
     }
 }
 

@@ -1499,22 +1499,7 @@ impl CompiledEngine {
     ) -> Result<(), EmulationError> {
         let mut flit = self.take_flit(h);
         flit.vc = VcId::new(vc as u8);
-        let completed: Option<CompletedPacket> = match &mut self.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-        };
+        let completed = self.receptors[index].accept(&flit, now)?;
         match completed {
             Some(pkt) => edge.deliver(self, gp, index, pkt, now),
             None => Ok(()),

@@ -36,7 +36,6 @@ use nocem_platform::bus::{AddressMap, BusAccess, BusError, DeviceClass};
 use nocem_platform::control::ControlModule;
 use nocem_stats::congestion::CongestionCounter;
 use nocem_stats::ledger::PacketLedger;
-use nocem_stats::receptor::CompletedPacket;
 use nocem_telemetry::{Collector, CumulativeProbe, FlitEvent, FlitEventKind, FlitTracer};
 use nocem_traffic::generator::PacketRequest;
 use nocem_traffic::trace::{TraceEvent, TraceRecorder};
@@ -410,22 +409,7 @@ impl Emulation {
         flit: nocem_common::flit::Flit,
         now: Cycle,
     ) -> Result<(), EmulationError> {
-        let completed: Option<CompletedPacket> = match &mut self.elab.receptors[index] {
-            ReceptorDevice::Stochastic(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-            ReceptorDevice::Trace(r) => {
-                r.accept(&flit, now)
-                    .map_err(|source| EmulationError::Receive {
-                        receptor: r.id(),
-                        source,
-                    })?
-            }
-        };
+        let completed = self.elab.receptors[index].accept(&flit, now)?;
         if let Some(pkt) = completed {
             let lat = PhaseProfiler::nest(&mut self.profiler, Phase::Ledger, || {
                 self.ledger.deliver(pkt.id, now, pkt.len_flits)

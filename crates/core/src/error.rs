@@ -131,6 +131,12 @@ pub enum EmulationError {
         /// What happened.
         reason: String,
     },
+    /// A process-model kernel could not complete a cycle (the RTL
+    /// kernel's delta cycles did not converge).
+    Kernel {
+        /// Which kernel, and what happened.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for EmulationError {
@@ -155,6 +161,7 @@ impl std::fmt::Display for EmulationError {
                     write!(f, "shard {shard} fault: {reason}")
                 }
             }
+            EmulationError::Kernel { reason } => write!(f, "simulation kernel fault: {reason}"),
         }
     }
 }

@@ -9,9 +9,10 @@
 //!
 //! The FPGA of the paper is replaced by a cycle-accurate software
 //! engine (one [`engine::Emulation::step`] per platform clock); the
-//! SystemC and ModelSim baselines of the paper's Table 2 are provided
-//! by the companion crates `nocem-tlm` and `nocem-rtl`, which run the
-//! *same elaboration* through slower simulation kernels.
+//! SystemC and ModelSim baselines of the paper's Table 2 are one
+//! [`process_model::ProcessModel`] over two slower simulation kernels,
+//! supplied by the companion crates `nocem-tlm` and `nocem-rtl`; both
+//! run the *same elaboration*.
 //!
 //! ## Quickstart
 //!
@@ -40,6 +41,7 @@
 //! | [`engine`] | 5 | the cycle engine (and the bus the software sees) |
 //! | [`compiled`] | 5 | the compiled engine: the elaboration lowered to flat arrays |
 //! | [`shard_compiled`] | 5 | the sharded compiled engine: one platform across worker threads, batched synchronization |
+//! | [`process_model`] | 5 | the platform as kernel processes: the TLM and RTL baselines of Table 2 |
 //! | [`clock`] | 5 | clock modes, quiescence, the fast-forward kernel, [`clock::SteppableEngine`] |
 //! | [`devices`] | 3, 6 | register views and typed drivers |
 //! | [`profile`] | 5, 6 | engine self-profiling: phase timers, span timelines, stall forensics |
@@ -58,6 +60,7 @@ pub mod devices;
 pub mod engine;
 pub mod error;
 pub mod flow;
+pub mod process_model;
 pub mod profile;
 pub mod results;
 pub mod shard_compiled;

@@ -92,7 +92,8 @@
 
 use crate::clock::{ClockMode, EngineSummary, EngineWarning, SteppableEngine};
 use crate::compile::{
-    elaborate, Elaboration, LoweredOutDest, LoweredPlatform, OutTarget, ReceptorDevice,
+    elaborate, elaborate_routed, Elaboration, LoweredOutDest, LoweredPlatform, OutTarget,
+    ReceptorDevice,
 };
 use crate::compiled::{CompiledEngine, CycleEdge, FlatRun};
 use crate::config::{EngineKind, PlatformConfig};
@@ -107,6 +108,7 @@ use nocem_stats::ledger::PacketLedger;
 use nocem_stats::receptor::CompletedPacket;
 use nocem_telemetry::{Collector, CumulativeProbe, SpanBuffer, SpanEvent, SpanTrace};
 use nocem_topology::partition::{GridStripes, Partition, PartitionMap};
+use nocem_topology::routing::RoutingTables;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -926,6 +928,7 @@ impl ShardedCompiledEngine {
             let (cmd_tx, cmd_rx) = mpsc::channel();
             let (rep_tx, rep_rx) = mpsc::channel();
             let worker_config = config.clone();
+            let worker_routing = elab.routing.clone();
             let worker_map = map.clone();
             let nbr_list = nbr_list.clone();
             let out_txs = txs.next().expect("one tx list per shard");
@@ -941,6 +944,7 @@ impl ShardedCompiledEngine {
                     spawn_worker(
                         k,
                         &worker_config,
+                        worker_routing,
                         &worker_map,
                         nbr_list,
                         out_txs,
@@ -1495,14 +1499,16 @@ impl SteppableEngine for ShardedCompiledEngine {
     }
 }
 
-/// Builds one worker inside its thread: re-elaborate the config (the
-/// elaboration is deterministic, so every TG RNG stream and device
-/// matches the coordinator's reference by construction), wrap it in a
-/// full-shape [`CompiledEngine`], and derive the ownership tables.
+/// Builds one worker inside its thread: re-elaborate the config on the
+/// coordinator's routing tables (the elaboration is deterministic, so
+/// every TG RNG stream and device matches the coordinator's reference
+/// by construction), wrap it in a full-shape [`CompiledEngine`], and
+/// derive the ownership tables.
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     shard: usize,
     config: &PlatformConfig,
+    routing: RoutingTables,
     map: &PartitionMap,
     nbr_list: Vec<usize>,
     out_txs: Vec<Sender<NeighborMsg>>,
@@ -1511,7 +1517,8 @@ fn spawn_worker(
     cmd_rx: Receiver<Cmd>,
     rep_tx: Sender<Report>,
 ) -> Worker {
-    let elab = elaborate(config).expect("the coordinator already elaborated this config");
+    let elab = elaborate_routed(config, routing)
+        .expect("the coordinator already elaborated this config on these tables");
     let mut eng = CompiledEngine::new(elab);
     // The coordinator owns windowed telemetry; the worker only ever
     // serves cumulative probes.

@@ -1,14 +1,16 @@
 //! # nocem-rtl — the "Verilog / ModelSim" baseline
 //!
-//! An event-driven RTL simulator running the same NoC platform as the
-//! `nocem` emulation engine, reproducing the mechanism (and cost) of
-//! HDL simulation for the paper's Table 2:
+//! The ModelSim analog of the paper's Table 2: the platform's
+//! processes ([`nocem::process_model::ProcessModel`], shared with
+//! `nocem-tlm`) on an event-driven RTL kernel, reproducing the
+//! mechanism (and cost) of HDL simulation:
 //!
 //! * [`kernel`] — signals, nonblocking assignment, delta cycles,
 //!   sensitivity lists, work counters and a VCD dump;
-//! * [`model`] — the platform mapped onto the kernel: flit/credit
-//!   wires per link, clocked processes per switch and network
-//!   interface, monitor processes per receptor.
+//! * [`model`] — the kernel as a
+//!   [`nocem::process_model::ProcessKernel`] and the [`RtlEngine`]
+//!   alias (flit/credit wires per link, monitor processes per
+//!   receptor).
 //!
 //! Runs are cycle- and flit-identical to the fast engine (enforced by
 //! tests); only the wall-clock cost differs, by the orders of
@@ -38,4 +40,4 @@ pub mod kernel;
 pub mod model;
 
 pub use kernel::{Kernel, KernelStats, Value};
-pub use model::{RtlEngine, RtlSummary};
+pub use model::RtlEngine;

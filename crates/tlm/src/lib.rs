@@ -1,17 +1,19 @@
 //! # nocem-tlm — the "SystemC (MPARM)" baseline
 //!
-//! A cycle-true transaction-level simulator running the same NoC
-//! platform as the `nocem` emulation engine, reproducing the mechanism
-//! (and cost) of SystemC simulation for the paper's Table 2:
+//! The SystemC analog of the paper's Table 2: the platform's processes
+//! ([`nocem::process_model::ProcessModel`], shared with `nocem-rtl`)
+//! on a cycle-true transaction-level kernel, reproducing the mechanism
+//! (and cost) of SystemC simulation:
 //!
 //! * [`scheduler`] — a SystemC-like process scheduler with
 //!   double-buffered (`sc_signal`-style) channels and value-changed
 //!   watchers;
-//! * [`model`] — the platform mapped onto the scheduler: one process
-//!   per switch and network interface, one watcher per receptor.
+//! * [`model`] — the scheduler as a
+//!   [`nocem::process_model::ProcessKernel`] and the [`TlmEngine`]
+//!   alias.
 //!
-//! Runs are cycle- and flit-identical to the fast engine and the RTL
-//! model (enforced by tests); the wall-clock cost sits between them.
+//! Runs are cycle- and flit-identical to the fast engine (enforced by
+//! tests); the wall-clock cost sits between the fast engine and RTL.
 //!
 //! # Examples
 //!
@@ -35,5 +37,5 @@
 pub mod model;
 pub mod scheduler;
 
-pub use model::{TlmEngine, TlmSummary};
+pub use model::TlmEngine;
 pub use scheduler::{Scheduler, SchedulerStats};

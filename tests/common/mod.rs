@@ -4,13 +4,14 @@
 //! cycle by cycle.
 
 use nocem::clock::SteppableEngine;
-use nocem::compile::elaborate;
+use nocem::compile::{elaborate, elaborate_routed, Elaboration};
 use nocem::compiled::CompiledEngine;
 use nocem::config::PlatformConfig;
-use nocem::engine::build;
+use nocem::engine::Emulation;
 use nocem::shard_compiled::ShardedCompiledEngine;
 use nocem_scenarios::registry::ScenarioRegistry;
 use nocem_scenarios::scenario::TopologySpec;
+use nocem_topology::routing::RoutingTables;
 
 /// A uniform-random scenario config on `topo` at `load` (meshes on XY
 /// routing, tori on 2-VC dateline torus-XY, so flits and credits
@@ -36,18 +37,29 @@ pub const TORUS8X8: TopologySpec = TopologySpec::Torus {
 /// lockstep with two references, the compiled engine and the
 /// interpreted `Emulation` oracle, and asserts full equality against
 /// both: per-cycle clock + deliveries, final ledger, summary and
-/// results. Works in both clock modes: gated runs jump the same
-/// windows on every side, so the per-step clock comparison stays
-/// exact.
-pub fn assert_lockstep(cfg: &PlatformConfig, cases: &[(usize, u64)]) {
-    let mut oracle = build(cfg).unwrap();
-    let mut reference = CompiledEngine::new(elaborate(cfg).unwrap());
+/// results. Every engine is built from an elaboration of `cfg` on
+/// `routing` when given (else on the routing `cfg` computes). Works in
+/// both clock modes: gated runs jump the same windows on every side,
+/// so the per-step clock comparison stays exact.
+pub fn assert_lockstep(
+    cfg: &PlatformConfig,
+    routing: Option<&RoutingTables>,
+    cases: &[(usize, u64)],
+) {
+    let elab = || -> Elaboration {
+        match routing {
+            Some(tables) => elaborate_routed(cfg, tables.clone()).unwrap(),
+            None => elaborate(cfg).unwrap(),
+        }
+    };
+    let mut oracle = Emulation::new(elab());
+    let mut reference = CompiledEngine::new(elab());
     let mut engines: Vec<((usize, u64), ShardedCompiledEngine)> = cases
         .iter()
         .map(|&(k, b)| {
             (
                 (k, b),
-                ShardedCompiledEngine::with_shards(cfg, k, b).unwrap(),
+                ShardedCompiledEngine::from_elaboration(elab(), k, b).unwrap(),
             )
         })
         .collect();

@@ -17,9 +17,9 @@
 //! at random batch sizes against the batch-1 exchange order.
 
 use nocem::clock::{ClockMode, EngineWarning, SteppableEngine};
-use nocem::compile::elaborate;
+use nocem::compile::{compute_routing, elaborate};
 use nocem::compiled::CompiledEngine;
-use nocem::config::{EngineKind, PaperConfig, PlatformConfig, TrafficModel};
+use nocem::config::{EngineKind, PaperConfig, PlatformConfig, RoutingSpec, TrafficModel};
 use nocem::engine::{build, Emulation};
 use nocem::error::CompileError;
 use nocem::shard_compiled::ShardedCompiledEngine;
@@ -27,6 +27,7 @@ use nocem::sweep::AnyEngine;
 use nocem_scenarios::scenario::TopologySpec;
 use nocem_telemetry::TelemetryConfig;
 use nocem_topology::partition::PartitionMap;
+use nocem_topology::routing::RouteAlgorithm;
 use nocem_traffic::generator::DestinationModel;
 use proptest::prelude::*;
 
@@ -37,30 +38,30 @@ const CASES: &[(usize, u64)] = &[(2, 1), (2, 4), (2, 16), (4, 1), (4, 4), (4, 16
 
 #[test]
 fn mesh8x8_low_load_is_bit_identical_across_batches() {
-    assert_lockstep(&uniform_random(MESH8X8, 0.05, 500), CASES);
+    assert_lockstep(&uniform_random(MESH8X8, 0.05, 500), None, CASES);
 }
 
 #[test]
 fn mesh8x8_saturating_load_is_bit_identical_across_batches() {
     // 40% uniform-random congests the center: worms block across
     // shard boundaries, credits starve, packets park at the sources.
-    assert_lockstep(&uniform_random(MESH8X8, 0.40, 700), CASES);
+    assert_lockstep(&uniform_random(MESH8X8, 0.40, 700), None, CASES);
 }
 
 #[test]
 fn torus8x8_low_load_is_bit_identical_across_batches() {
-    assert_lockstep(&uniform_random(TORUS8X8, 0.05, 500), CASES);
+    assert_lockstep(&uniform_random(TORUS8X8, 0.05, 500), None, CASES);
 }
 
 #[test]
 fn torus8x8_saturating_load_is_bit_identical_across_batches() {
-    assert_lockstep(&uniform_random(TORUS8X8, 0.40, 700), CASES);
+    assert_lockstep(&uniform_random(TORUS8X8, 0.40, 700), None, CASES);
 }
 
 /// The CI release smoke: 2 shards, batch 8, saturating mesh8x8.
 #[test]
 fn mesh8x8_two_shards_batch8_lockstep() {
-    assert_lockstep(&uniform_random(MESH8X8, 0.40, 900), &[(2, 8)]);
+    assert_lockstep(&uniform_random(MESH8X8, 0.40, 900), None, &[(2, 8)]);
 }
 
 /// An endless cycle limit (`u64::MAX`, the setting long steady runs
@@ -70,7 +71,7 @@ fn mesh8x8_two_shards_batch8_lockstep() {
 fn endless_cycle_limit_is_bit_identical() {
     let mut cfg = uniform_random(MESH8X8, 0.20, 300);
     cfg.stop.cycle_limit = u64::MAX;
-    assert_lockstep(&cfg, &[(2, 1), (2, 16)]);
+    assert_lockstep(&cfg, None, &[(2, 1), (2, 16)]);
 }
 
 /// One synchronization round per cycle at `batch = 1` (today's
@@ -199,7 +200,7 @@ fn engine_kind_round_trips_through_the_generic_builder() {
 #[test]
 fn paper_platform_index_stripes_match_emulation() {
     let cfg = PaperConfig::new().total_packets(300).uniform();
-    assert_lockstep(&cfg, &[(2, 1), (2, 16)]);
+    assert_lockstep(&cfg, None, &[(2, 1), (2, 16)]);
 }
 
 /// `PlatformConfig::baseline` on star(`leaves`) with generator *i*
@@ -227,14 +228,27 @@ fn cross_hub_star(leaves: u32, packets: u64) -> PlatformConfig {
 /// commit; every flow crosses the hub and most cross a shard boundary.
 #[test]
 fn cross_hub_star70_runs_the_dense_hub_on_a_worker() {
-    assert_lockstep(&cross_hub_star(70, 1400), &[(2, 1), (2, 16)]);
+    assert_lockstep(&cross_hub_star(70, 1400), None, &[(2, 1), (2, 16)]);
+}
+
+/// An elaboration built on routing tables other than the ones its
+/// config computes (shortest-path tables on an XY mesh config) runs on
+/// those tables in every shard worker, not on routes the worker
+/// recomputes from the config.
+#[test]
+fn workers_run_the_elaborations_routing_tables() {
+    let cfg = uniform_random(MESH8X8, 0.40, 700);
+    let mut shortest = cfg.clone();
+    shortest.routing = RoutingSpec::Algorithm(RouteAlgorithm::Shortest);
+    let routing = compute_routing(&shortest).unwrap();
+    assert_lockstep(&cfg, Some(&routing), &[(2, 1), (2, 16)]);
 }
 
 /// One shard is the whole platform: no boundary links, same ledger.
 #[test]
 fn single_shard_degenerates_cleanly() {
     let cfg = PaperConfig::new().total_packets(120).burst(4);
-    assert_lockstep(&cfg, &[(1, 1), (1, 16)]);
+    assert_lockstep(&cfg, None, &[(1, 1), (1, 16)]);
     let engine = ShardedCompiledEngine::with_shards(&cfg, 1, 16).unwrap();
     assert!(engine.partition().boundary_links(&cfg.topology).is_empty());
 }
@@ -244,7 +258,7 @@ fn single_shard_degenerates_cleanly() {
 #[test]
 fn three_shards_on_trace_bursty_match_emulation_results() {
     let cfg = PaperConfig::new().total_packets(200).trace_bursty(4);
-    assert_lockstep(&cfg, &[(3, 1), (3, 8)]);
+    assert_lockstep(&cfg, None, &[(3, 1), (3, 8)]);
 }
 
 /// A run that cannot finish trips the cycle limit with the same error

@@ -28,24 +28,24 @@ const PER_CYCLE: &[(usize, u64)] = &[(2, 1), (4, 1)];
 
 #[test]
 fn mesh8x8_low_load_is_ledger_identical() {
-    assert_lockstep(&uniform_random(MESH8X8, 0.05, 600), PER_CYCLE);
+    assert_lockstep(&uniform_random(MESH8X8, 0.05, 600), None, PER_CYCLE);
 }
 
 #[test]
 fn mesh8x8_saturating_load_is_ledger_identical() {
     // 40% uniform-random on an 8x8 mesh congests the center links;
     // worms block, credits starve, packets park in the source queues.
-    assert_lockstep(&uniform_random(MESH8X8, 0.40, 900), PER_CYCLE);
+    assert_lockstep(&uniform_random(MESH8X8, 0.40, 900), None, PER_CYCLE);
 }
 
 #[test]
 fn torus8x8_low_load_is_ledger_identical() {
-    assert_lockstep(&uniform_random(TORUS8X8, 0.05, 600), PER_CYCLE);
+    assert_lockstep(&uniform_random(TORUS8X8, 0.05, 600), None, PER_CYCLE);
 }
 
 #[test]
 fn torus8x8_saturating_load_is_ledger_identical() {
-    assert_lockstep(&uniform_random(TORUS8X8, 0.40, 900), PER_CYCLE);
+    assert_lockstep(&uniform_random(TORUS8X8, 0.40, 900), None, PER_CYCLE);
 }
 
 /// 3 shards over 8 rows give unbalanced row stripes (3/3/2), and 5
@@ -54,6 +54,7 @@ fn torus8x8_saturating_load_is_ledger_identical() {
 fn odd_shard_count_and_non_row_aligned_stripes_agree() {
     assert_lockstep(
         &uniform_random(MESH8X8, 0.20, 500),
+        None,
         &[(3, 1), (3, 16), (5, 1), (5, 16)],
     );
 }
@@ -69,7 +70,7 @@ fn gated_sharded_skips_exactly_like_the_single_threaded_kernel() {
     let mut oracle = build(&cfg).unwrap();
     oracle.run().unwrap();
     assert!(oracle.cycles_skipped() > 0, "a 5%-load run must skip");
-    assert_lockstep(&cfg, &[(2, 1), (4, 16)]);
+    assert_lockstep(&cfg, None, &[(2, 1), (4, 16)]);
 }
 
 #[test]
